@@ -475,6 +475,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # Exact answers can exceed Python's int->str digit limit (4300 by
+    # default); lift it for this call only, since main also runs in-process.
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         config = _config_from_args(args)
         _HANDLERS[config.command](config, sys.stdout)
@@ -487,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(old_limit)
     return 0
 
 

@@ -15,6 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import sub
 from random import Random
 from typing import Iterator
 
@@ -196,20 +198,136 @@ def joint_gf_fixpoint(
     return result
 
 
-class TreeSampler:
-    """Exactly uniform sampler over trees on n vertices.
+# The cycle lemma's table has O(n^(|S|-2)) rows: linear or quadratic in n up
+# to this size.  Above it the recursive method is cheaper: at S={0,1,2,3,4},
+# n=300 the table has 195 075 rows and a build plus 100 draws takes 0.25 s
+# and 54 MB peak, against 0.04 s and 27 MB for the recursive method.
+CYCLE_LEMMA_MAX_SET = 4
 
-    Works by the recursive method: pick the root's child count i with
-    probability (#trees whose root has i children)/f_n, then split the
-    n-1 remaining vertices among the i subtrees left to right, each split
-    weighted by exact subtree-count products.  All weights are precomputed
-    integers, so no rejection and no floating point anywhere.
+
+def _multinomial(n: int, counts) -> int:
+    return math.factorial(n) // math.prod(map(math.factorial, counts))
+
+
+def _outer_counts(coords, budget: int):
+    """Every count tuple over coords with sum(coord * count) <= budget, with
+    the budget it leaves."""
+    if not coords:
+        yield (), budget
+        return
+    first, rest = coords[0], coords[1:]
+    for k in range(budget // first + 1):
+        for tail, left in _outer_counts(rest, budget - first * k):
+            yield (k, *tail), left
+
+
+def count_vector_table(
+    child_set: ChildSet, n: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Child-count vectors of trees on n vertices with cumulative weights.
+
+    Lists every k (aligned with child_set.elements) with sum(k) = n and
+    sum(s * k_s) = n - 1, weighted by the multinomial n!/prod(k_s!), the
+    number of sequences with those counts.  By the cycle lemma each tree is
+    n of those sequences, so the last cumulative weight is n * f_n.
+
+    The count of the largest element is solved from the budget and the next
+    largest is stepped so that the solved count stays integral; along that
+    step the weight changes by a ratio of products of a few small integers.
+    """
+    elements = child_set.elements
+    if len(elements) <= 2:  # S = {0} or {0, s}: at most one vector
+        s = elements[-1]
+        k = (n - 1) // s if s else 0
+        if s * k != n - 1:
+            return [], []
+        vector = (n - k, k) if s else (n,)
+        return [vector], [_multinomial(n, vector)]
+    *outer_coords, inner, last = elements[1:]
+    g = math.gcd(inner, last)
+    step, drop = last // g, inner // g  # inner count +step, last count -drop
+    lose = step - drop  # and the count of 0 falls by the difference
+    vectors: list[tuple[int, ...]] = []
+    cums: list[int] = []
+    acc = 0
+    for outer, budget in _outer_counts(outer_coords, n - 1):
+        # smallest inner count that leaves a multiple of last for the last
+        x = next((x for x in range(step) if (budget - inner * x) % last == 0), None)
+        if x is None or inner * x > budget:
+            continue
+        k_last = (budget - inner * x) // last
+        k_zero = n - sum(outer) - x - k_last
+        weight = _multinomial(n, (k_zero, *outer, x, k_last))
+        while True:
+            acc += weight
+            cums.append(acc)
+            vectors.append((k_zero, *outer, x, k_last))
+            if k_last < drop:
+                break
+            ratio_num = math.prod(range(k_last - drop + 1, k_last + 1)) * math.prod(
+                range(k_zero - lose + 1, k_zero + 1)
+            )
+            weight = weight * ratio_num // math.prod(range(x + 1, x + step + 1))
+            x += step
+            k_last -= drop
+            k_zero -= lose
+    return vectors, cums
+
+
+def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
+    """The rotation of seq that starts just after the first minimum of its walk.
+
+    For a sequence of n child counts summing to n-1 this is the one rotation
+    that is a valid code (cycle lemma).
+    """
+    walk = list(map(sub, accumulate(seq), range(1, len(seq) + 1)))
+    cut = walk.index(min(walk)) + 1
+    return tuple(seq[cut:] + seq[:cut])
+
+
+class _CycleLemma:
+    """Draw a count vector by weight, shuffle its multiset, rotate to a tree.
+
+    Shuffling makes every sequence with counts k equally likely, so a
+    sequence has probability 1/W for W = n * f_n, and each tree is the
+    rotation of exactly n sequences: probability n/W = 1/f_n.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.child_set = child_set
+        self.elements = child_set.elements
+        self.n = n
+        self.vectors, self.cums = count_vector_table(child_set, n)
+        if not self.cums:
+            raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
+        self.total = self.cums[-1]
+
+    def sample(self, rng: Random) -> TreeCode:
+        counts = self.vectors[bisect_right(self.cums, rng.randrange(self.total))]
+        seq = list(chain.from_iterable(map(repeat, self.elements, counts)))
+        rng.shuffle(seq)
+        return _lukasiewicz_rotation(seq)
+
+    def decision_probability(self, code) -> Fraction:
+        code = tuple(code)
+        counts = tuple(code.count(s) for s in self.elements)
+        if len(code) != self.n or counts not in self.vectors:
+            return Fraction(0)  # never drawn: wrong length or counts
+        row = self.vectors.index(counts)
+        weight = self.cums[row] - (self.cums[row - 1] if row else 0)
+        # distinct shuffles that the rotation rule turns into this code
+        rotations = {code[i:] + code[:i] for i in range(self.n)}
+        hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
+        return Fraction(weight, self.total) * Fraction(hits, _multinomial(self.n, counts))
+
+
+class _RecursiveMethod:
+    """Pick the root's child count i with probability (#trees whose root has
+    i children)/f_n, then split the n-1 remaining vertices among the i
+    subtrees left to right, each split weighted by exact subtree-count
+    products (Flajolet, Zimmermann & Van Cutsem 1994).
+    """
+
+    def __init__(self, child_set: ChildSet, n: int) -> None:
         self.n = n
         max_c = child_set.max_count
         # conv[i][t] = number of forests of i ordered trees with t vertices
@@ -340,6 +458,38 @@ class TreeSampler:
                 total -= size
                 parts -= 1
         return prob
+
+
+
+
+class TreeSampler:
+    """Exactly uniform sampler over trees on n vertices.
+
+    For |S| <= CYCLE_LEMMA_MAX_SET it uses the cycle lemma (Dvoretzky &
+    Motzkin 1947; Devroye 2012): draw a child-count vector with weight
+    multinomial(n; k), shuffle, and rotate to the one valid code.  For larger
+    S it uses the recursive method, whose tables then grow more slowly.  All
+    weights are exact integers, so there is no rejection and no floating
+    point on either path.
+    """
+
+    def __init__(self, child_set: ChildSet, n: int) -> None:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.child_set = child_set
+        self.n = n
+        if len(child_set) <= CYCLE_LEMMA_MAX_SET:
+            self._method = _CycleLemma(child_set, n)
+        else:
+            self._method = _RecursiveMethod(child_set, n)
+
+    def sample(self, rng: Random) -> TreeCode:
+        """One uniform tree; deterministic in the state of rng."""
+        return self._method.sample(rng)
+
+    def decision_probability(self, code) -> Fraction:
+        """Exact probability that sample() emits this code."""
+        return self._method.decision_probability(code)
 
 
 def sample_tree_uniform(child_set: ChildSet, n: int, rng_seed: int) -> TreeCode:

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from treemoments import ChildSet, enumerate_trees, format_code, is_valid_code, parse_code
+from treemoments import ChildSet, count_trees, enumerate_trees, format_code, is_valid_code, parse_code
 from treemoments.cli import main
 
 
@@ -10,6 +11,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit():
+    """The interpreter's int->str digit limit, or None where there is none."""
+    if hasattr(sys, "get_int_max_str_digits"):
+        return sys.get_int_max_str_digits()
+    return None
+
+
+def unlimited_str(value: int) -> str:
+    """str(value) regardless of the int->str digit limit."""
+    old = digit_limit()
+    if old is None:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestKnownOutputs:
@@ -136,6 +156,27 @@ class TestFormats:
         )
         row = json.loads(out.splitlines()[0])
         assert row["exact"] is None
+
+
+class TestLargeValues:
+    # f_9500 for S={0,1,2} has 4526 digits, above the default limit of 4300
+    @pytest.mark.parametrize(
+        "fmt, template",
+        [
+            ("text", "{}\n"),
+            ("csv", "n,count\n9500,{}\n"),
+            ("json", '{{"n": 9500, "count": {}}}\n'),
+        ],
+        ids=["text", "csv", "json"],
+    )
+    def test_values_past_the_digit_limit_print_in_full(self, capsys, fmt, template):
+        digits = unlimited_str(count_trees(ChildSet((0, 1, 2)), 9500))
+        assert len(digits) > 4300
+        before = digit_limit()
+        code, out, err = run(capsys, "count", "-S", "0,1,2", "-n", "9500", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == template.format(digits)
+        assert digit_limit() == before
 
 
 class TestExitCodes:

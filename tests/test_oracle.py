@@ -19,7 +19,7 @@ from treemoments import (
     oracle_numerator,
     sample_tree_uniform,
 )
-from treemoments.oracle import format_code, parse_code
+from treemoments.oracle import count_vector_table, format_code, parse_code
 
 S012 = ChildSet((0, 1, 2))
 S02 = ChildSet((0, 2))
@@ -162,25 +162,51 @@ class TestSampler:
             TreeSampler(S02, 4)
 
     def test_decision_probabilities_are_exactly_uniform(self):
-        # the sampler's chance of emitting any given tree is exactly 1/f_n
+        # the sampler's chance of emitting any given tree is exactly 1/f_n;
+        # |S| <= 4 runs the cycle lemma, |S| = 5 the recursive method
         for child_set, n_max in [
             (S012, 8),
             (S02, 7),
             (ChildSet((0, 1, 3)), 7),
             (ChildSet((0, 2, 3)), 7),
             (ChildSet((0, 1, 2, 3)), 6),
+            (ChildSet((0, 2, 3, 5)), 8),
+            (ChildSet((0, 1, 2, 3, 4)), 6),
+            (ChildSet((0, 2, 3, 5, 7)), 8),
         ]:
+            cycle_lemma = len(child_set) <= 4
             for n in range(1, n_max + 1):
                 fn = count_trees(child_set, n)
                 if fn == 0:
                     continue
                 sampler = TreeSampler(child_set, n)
+                trees = list(enumerate_trees(child_set, n))
+                if cycle_lemma:
+                    # each tree is n of the weighted sequences
+                    assert sampler._method.total == n * len(trees), (child_set, n)
+                else:
+                    assert not hasattr(sampler._method, "total")
                 total = Fraction(0)
-                for code in enumerate_trees(child_set, n):
+                for code in trees:
                     prob = sampler.decision_probability(code)
                     assert prob == Fraction(1, fn), (child_set, n, code)
                     total += prob
                 assert total == 1
+
+    def test_count_vectors_match_enumeration(self):
+        extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
+        for child_set in FAMILY + extra:
+            for n in range(1, 10):
+                vectors, cums = count_vector_table(child_set, n)
+                dist = child_count_distribution(child_set, n, cap=n)
+                assert sorted(vectors) == sorted(dist), (child_set, n)
+                assert all(b > a for a, b in zip([0] + cums, cums))
+
+    def test_rejects_codes_it_never_draws(self):
+        for child_set in (S012, ChildSet((0, 1, 2, 3))):
+            sampler = TreeSampler(child_set, 4)
+            assert sampler.decision_probability((1, 1, 0, 1)) == 0  # rotation
+            assert sampler.decision_probability((2, 0, 0)) == 0  # too short
 
     def test_empirical_uniformity_smoke(self):
         sampler = TreeSampler(S012, 6)
