@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import IO, Iterable
 
@@ -163,10 +162,6 @@ class RowWriter:
                 self._print_aligned(cells)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _cmd_count(cfg: RunConfig, out: IO[str]) -> None:
     if cfg.single_n and cfg.fmt == "text":
         out.write(f"{count_trees(cfg.child_set, cfg.n_lo)}\n")
@@ -212,8 +207,8 @@ def _cmd_moments(cfg: RunConfig, out: IO[str]) -> None:
             {
                 "p1": cell[0],
                 "p2": cell[1],
-                "raw": _fraction_str(report.raw[cell]),
-                "central": _fraction_str(report.central[cell]),
+                "raw": str(report.raw[cell]),
+                "central": str(report.central[cell]),
                 "scaled": None if scaled is None else scaled.text,
             }
         )
@@ -235,7 +230,7 @@ def _cmd_scaled(cfg: RunConfig, out: IO[str]) -> None:
                 "p1": cfg.p1,
                 "p2": cfg.p2,
                 "alpha": value.text,
-                "exact": None if value.exact is None else _fraction_str(value.exact),
+                "exact": None if value.exact is None else str(value.exact),
             }
         )
     writer.close()

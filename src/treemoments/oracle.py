@@ -308,10 +308,7 @@ class _CycleLemma:
         return _lukasiewicz_rotation(seq)
 
     def decision_probability(self, code) -> Fraction:
-        code = tuple(code)
         counts = tuple(code.count(s) for s in self.elements)
-        if len(code) != self.n or counts not in self.vectors:
-            return Fraction(0)  # never drawn: wrong length or counts
         row = self.vectors.index(counts)
         weight = self.cums[row] - (self.cums[row - 1] if row else 0)
         # distinct shuffles that the rotation rule turns into this code
@@ -423,7 +420,7 @@ class _RecursiveMethod:
         return tuple(code)
 
     def decision_probability(self, code) -> Fraction:
-        """Exact probability that sample() emits this code."""
+        """Exact probability that sample() emits this valid code on n vertices."""
         f = self.tree_counts
         conv = self._conv
 
@@ -442,8 +439,6 @@ class _RecursiveMethod:
             pos, m = stack.pop()
             i = code[pos]
             if m == 1:
-                if i != 0:
-                    return Fraction(0)
                 continue
             prob *= Fraction(conv[i][m - 1], f[m])
             cursor = pos + 1
@@ -458,8 +453,6 @@ class _RecursiveMethod:
                 total -= size
                 parts -= 1
         return prob
-
-
 
 
 class TreeSampler:
@@ -489,6 +482,9 @@ class TreeSampler:
 
     def decision_probability(self, code) -> Fraction:
         """Exact probability that sample() emits this code."""
+        code = tuple(code)
+        if len(code) != self.n or not is_valid_code(self.child_set, code):
+            return Fraction(0)  # never drawn: wrong length, child count or walk
         return self._method.decision_probability(code)
 
 

@@ -1,17 +1,14 @@
 """Decimal rendering of exact values without floating point.
 
-All quantities in this package are either rational or of the form
-q + sum(c_i * sqrt(v_i)) with rational c_i and rational v_i >= 0 (scaled
-moments with odd powers divide by odd powers of a standard deviation).
-SqrtExpr represents such a value exactly; render() turns it into a decimal
-string with a fixed number of digits after the point.
-
-Digit guarantee: for a rational value, or a single square-root term, the
-output is the exactly rounded (round-half-even) decimal.  For sums of two
-or more square roots the terms are first rounded at GUARD_DIGITS extra
-places, so the printed value is within 10**-(places + GUARD_DIGITS - 1) of
-the true one; at the default 30 places this is far below the last printed
-digit.
+Every value in this package is either rational or q + r*sqrt(d) with
+rational q, r and a rational d >= 0 that is not a rational square.  A
+scaled moment's radicand class is var1^(p1 mod 2) * var2^(p2 mod 2), so
+radicands that occur together differ by a rational square and merge into
+one root; a sum of roots of different classes raises ArithmeticError.
+SqrtExpr represents such a value exactly; render() turns it into the
+exactly rounded (round-half-even) decimal with a fixed number of digits
+after the point.  With a root present the value is irrational, so no tie
+can occur.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-GUARD_DIGITS = 10
 
 
 def _format_scaled(scaled: int, places: int) -> str:
@@ -33,55 +28,53 @@ def _format_scaled(scaled: int, places: int) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _round_half_even_scaled(value: Fraction, places: int) -> int:
-    """round(value * 10**places) as an int, ties to even."""
-    return int(round(value * 10**places))
+def _round_scaled(rational: Fraction, terms, places: int) -> int:
+    """round((rational + r*sqrt(d)) * 10**places) as an int, ties to even.
+
+    terms is () or ((r, d),) with d not a rational square.  Then the value
+    is irrational and the result is floor(y) for y = 10**places*value + 1/2.
+    Write y = (a*v + sign*sqrt(N))/(m*v) with a/m = 10**places*rational + 1/2,
+    u/v = (r*10**places)**2 * d and N = u*v*m^2; sqrt(N) is irrational, so
+    s = isqrt(N) satisfies s < sqrt(N) < s + 1 and decides the floor.
+    """
+    if places < 0:
+        raise ValueError("places must be nonnegative")
+    scale = 10**places
+    if not terms:
+        return round(rational * scale)
+    ((coeff, radicand),) = terms
+    half = rational * scale + Fraction(1, 2)
+    square = coeff * coeff * radicand * scale * scale
+    a, m = half.numerator, half.denominator
+    u, v = square.numerator, square.denominator
+    s = isqrt(u * v * m * m)
+    if coeff > 0:
+        return (a * v + s) // (m * v)
+    return (a * v - s - 1) // (m * v)
 
 
 def format_fraction(value: Fraction, places: int) -> str:
     """Exactly rounded decimal string with `places` digits after the point."""
-    if places < 0:
-        raise ValueError("places must be nonnegative")
-    return _format_scaled(_round_half_even_scaled(value, places), places)
+    return _format_scaled(_round_scaled(Fraction(value), (), places), places)
 
 
 def sqrt_scaled(radicand: Fraction, places: int) -> int:
-    """round(sqrt(radicand) * 10**places), ties to even, all-integer.
-
-    radicand must be >= 0.  Uses math.isqrt, so the result is the exactly
-    rounded value: sqrt(p/q)*10^d = sqrt(p*10^(2d)*q)/q, whose floor and
-    half-point comparisons are decided in integers.
-    """
-    if radicand < 0:
-        raise ValueError("radicand must be nonnegative")
-    if radicand == 0:
-        return 0
-    p, q = radicand.numerator, radicand.denominator
-    big = p * q * 10 ** (2 * places)  # (sqrt(big)/q) == sqrt(radicand)*10^places
-    root = isqrt(big)
-    floor = root // q
-    # value >= floor + 1/2  <=>  4*big >= q^2*(2*floor + 1)^2
-    lhs = 4 * big
-    rhs = (q * (2 * floor + 1)) ** 2
-    if lhs > rhs:
-        return floor + 1
-    if lhs < rhs:
-        return floor
-    return floor if floor % 2 == 0 else floor + 1
+    """round(sqrt(radicand) * 10**places), ties to even, all-integer."""
+    expr = SqrtExpr.from_sqrt(1, radicand)
+    return _round_scaled(expr.rational, expr.terms, places)
 
 
 def format_sqrt(radicand: Fraction, places: int, sign: int = 1) -> str:
     """Exactly rounded decimal of sign * sqrt(radicand)."""
-    scaled = sqrt_scaled(radicand, places)
-    return _format_scaled(scaled if sign >= 0 else -scaled, places)
+    return SqrtExpr.from_sqrt(1 if sign >= 0 else -1, radicand).render(places)
 
 
 @dataclass(frozen=True)
 class SqrtExpr:
-    """Exact value rational + sum(coeff * sqrt(radicand))."""
+    """Exact value rational + coeff * sqrt(radicand), with at most one root."""
 
     rational: Fraction = Fraction(0)
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()  # (coeff, radicand >= 0)
+    terms: tuple[tuple[Fraction, Fraction], ...] = ()  # () or ((coeff, radicand),)
 
     @staticmethod
     def from_rational(value) -> "SqrtExpr":
@@ -102,13 +95,16 @@ class SqrtExpr:
         return SqrtExpr(Fraction(0), ((coeff, radicand),))
 
     def __add__(self, other: "SqrtExpr") -> "SqrtExpr":
-        merged: dict[Fraction, Fraction] = {}
-        for coeff, rad in self.terms + other.terms:
-            merged[rad] = merged.get(rad, Fraction(0)) + coeff
-        terms = tuple(
-            (coeff, rad) for rad, coeff in sorted(merged.items()) if coeff != 0
-        )
-        return SqrtExpr(self.rational + other.rational, terms)
+        rational = self.rational + other.rational
+        if not (self.terms and other.terms):
+            return SqrtExpr(rational, self.terms or other.terms)
+        ((c1, d1),), ((c2, d2),) = self.terms, other.terms
+        # c1*sqrt(d1) + c2*sqrt(d2) = (c1 + c2*k)*sqrt(d1) when d2/d1 = k^2
+        k = _rational_sqrt(d2 / d1)
+        if k is None:
+            raise ArithmeticError("a sum of roots of different classes has no single root")
+        coeff = c1 + c2 * k
+        return SqrtExpr(rational, ((coeff, d1),) if coeff else ())
 
     def __neg__(self) -> "SqrtExpr":
         return SqrtExpr(-self.rational, tuple((-c, r) for c, r in self.terms))
@@ -122,25 +118,8 @@ class SqrtExpr:
     def as_rational(self) -> Fraction | None:
         return self.rational if not self.terms else None
 
-    def __float__(self) -> float:
-        total = float(self.rational)
-        for coeff, rad in self.terms:
-            total += float(coeff) * float(rad) ** 0.5
-        return total
-
     def render(self, places: int) -> str:
-        if not self.terms:
-            return format_fraction(self.rational, places)
-        if self.rational == 0 and len(self.terms) == 1:
-            (coeff, rad), = self.terms
-            sign = 1 if coeff > 0 else -1
-            return format_sqrt(coeff * coeff * rad, places, sign)
-        work = places + GUARD_DIGITS
-        scaled = _round_half_even_scaled(self.rational, work)
-        for coeff, rad in self.terms:
-            sign = 1 if coeff > 0 else -1
-            scaled += sign * sqrt_scaled(coeff * coeff * rad, work)
-        return format_fraction(Fraction(scaled, 10**work), places)
+        return _format_scaled(_round_scaled(self.rational, self.terms, places), places)
 
 
 def _rational_sqrt(value: Fraction) -> Fraction | None:

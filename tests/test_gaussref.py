@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -153,6 +154,37 @@ class TestGapReport:
         with pytest.raises(DegenerateVariance):
             normality_gap_report(MomentSpec(ChildSet((0, 1, 2)), 2, 0, 1), 2, 2)
 
+    def test_odd_cells_hold_one_root_and_round_exactly(self):
+        spec = MomentSpec(S0123, 40, 1, 3)
+        report = normality_gap_report(spec, 4, 4, digits=30)
+        rows = {(r.p1, r.p2): r for r in report.rows}
+        for cell in [(1, 3), (3, 1), (3, 3)]:
+            row = rows[cell]
+            assert len(row.gap.terms) <= 1, cell
+            # round alpha - reference from its unmerged roots
+            roots = row.alpha.terms + (-row.reference).terms
+            expected = bracket_round(-row.reference.rational, roots, 30)
+            assert Fraction(row.gap_text) == Fraction(expected, 10**30), cell
+
     def test_requires_pair(self):
         with pytest.raises(ValueError):
             normality_gap_report(MomentSpec(S0123, 10, 0), 2, 2)
+
+
+def bracket_round(rational, roots, places, guard=200):
+    """round(10**places * (rational + sum c*sqrt(d))) in integers only.
+
+    Each root is bracketed by isqrt `guard` digits finer than the result.
+    """
+    scale = 10 ** (places + guard)
+    lo = hi = rational * scale
+    for coeff, radicand in roots:
+        square = coeff * coeff * radicand * scale * scale
+        low = isqrt(square.numerator // square.denominator)
+        if coeff > 0:
+            lo, hi = lo + low, hi + low + 1
+        else:
+            lo, hi = lo - low - 1, hi - low
+    first, last = round(lo / 10**guard), round(hi / 10**guard)
+    assert first == last, "bracket straddles a rounding boundary"
+    return first

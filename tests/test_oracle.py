@@ -203,10 +203,12 @@ class TestSampler:
                 assert all(b > a for a, b in zip([0] + cums, cums))
 
     def test_rejects_codes_it_never_draws(self):
-        for child_set in (S012, ChildSet((0, 1, 2, 3))):
+        for child_set in (S012, ChildSet((0, 1, 2, 3)), ChildSet((0, 1, 2, 3, 4))):
             sampler = TreeSampler(child_set, 4)
             assert sampler.decision_probability((1, 1, 0, 1)) == 0  # rotation
             assert sampler.decision_probability((2, 0, 0)) == 0  # too short
+            assert sampler.decision_probability((1, 1, 1, 0, 0)) == 0  # too long
+            assert sampler.decision_probability((5, 0, 0, 0)) == 0  # not in S
 
     def test_empirical_uniformity_smoke(self):
         sampler = TreeSampler(S012, 6)

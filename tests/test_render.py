@@ -1,11 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treemoments.render import (
-    GUARD_DIGITS,
     SqrtExpr,
     format_fraction,
     format_sqrt,
@@ -104,24 +104,53 @@ class TestSqrtExpr:
         assert (a + b).is_zero()
         assert (a - a).is_zero()
 
-    def test_mixed_sum_rendering_close_to_float(self):
-        expr = SqrtExpr.from_rational(Fraction(1, 3)) + SqrtExpr.from_sqrt(
-            2, Fraction(2)
-        ) + SqrtExpr.from_sqrt(-1, Fraction(3))
-        text = expr.render(12)
-        assert abs(float(Fraction(text)) - float(expr)) < 1e-11
+    def test_radicands_a_rational_square_apart_merge(self):
+        expr = SqrtExpr.from_sqrt(1, Fraction(2)) + SqrtExpr.from_sqrt(3, Fraction(8, 9))
+        assert expr.terms == ((Fraction(3), Fraction(2)),)  # sqrt(2) + 2*sqrt(2)
+        assert (expr - SqrtExpr.from_sqrt(3, Fraction(2))).is_zero()
 
-    def test_multi_term_rendering_within_one_ulp(self):
-        assert GUARD_DIGITS >= 2
-        expr = SqrtExpr.from_sqrt(1, Fraction(2)) + SqrtExpr.from_sqrt(1, Fraction(3))
-        places = 6
-        text = expr.render(places)
-        reference = Fraction(sqrt_scaled(Fraction(2), 30), 10**30) + Fraction(
-            sqrt_scaled(Fraction(3), 30), 10**30
+    def test_roots_of_different_classes_raise(self):
+        with pytest.raises(ArithmeticError):
+            SqrtExpr.from_sqrt(1, 2) + SqrtExpr.from_sqrt(1, 3)
+
+    def test_near_ties_round_exactly(self):
+        # sqrt(2) - 1.41421356237309 = 5.0e-15, so each value lies just above a half-point
+        expr = SqrtExpr.from_rational(
+            Fraction(1, 2) - Fraction("1.41421356237309")
+        ) + SqrtExpr.from_sqrt(1, 2)
+        assert expr.render(0) == "1"
+        expr = SqrtExpr.from_rational(
+            Fraction("0.0005") - Fraction("1.41421356237309504")
+        ) + SqrtExpr.from_sqrt(1, 2)
+        assert expr.render(3) == "0.001"
+
+    @given(
+        q=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+        r=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+        d=st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
+        places=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rational_plus_root_matches_integer_reference(self, q, r, d, places):
+        expr = SqrtExpr.from_rational(q) + SqrtExpr.from_sqrt(r, d)
+        assume(expr.terms)
+        assert Fraction(expr.render(places)) * 10**places == rounded_reference(
+            q, r, d, places
         )
-        assert abs(Fraction(text) - reference) <= Fraction(1, 10**places)
 
     def test_negation_and_zero(self):
         expr = SqrtExpr.from_sqrt(Fraction(1, 2), Fraction(3))
         assert (expr + (-expr)).is_zero()
         assert SqrtExpr.from_sqrt(0, Fraction(3)).is_zero()
+
+
+def rounded_reference(q, r, d, places, guard=200):
+    """round(10**places * (q + r*sqrt(d))) from an isqrt bracket `guard` digits finer."""
+    scale = 10 ** (places + guard)
+    square = r * r * d * scale * scale
+    low = isqrt(square.numerator // square.denominator)  # floor(|r|*sqrt(d)*scale)
+    base = q * scale
+    lo, hi = (base + low, base + low + 1) if r > 0 else (base - low - 1, base - low)
+    first, last = round(lo / 10**guard), round(hi / 10**guard)
+    assert first == last, "bracket straddles a rounding boundary"
+    return first
