@@ -82,7 +82,7 @@ def count_trees(child_set: ChildSet, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     phi = child_set.offspring_polynomial()
-    coeff = poly_pow_coeffs(phi, n, n - 1)[n - 1]
+    coeff = poly_pow_coeffs(phi, n, n - 1, min_deg=n - 1)[0]
     return exact_div(coeff, n)
 
 
@@ -117,16 +117,18 @@ def numerator_grid(
             "s1 == s2 with both powers positive; merge the powers first"
         )
     phi = child_set.offspring_polynomial()
+    t2 = 0 if s2 is None else s2
     k_hi = min(max_p1 + max_p2, n)
-    powers = [poly_pow_coeffs(phi, n - k, n - 1) for k in range(k_hi + 1)]
+    # every degree read below is at least n - 1 - max_p1*s1 - max_p2*t2
+    lo = max(0, n - 1 - max_p1 * s1 - max_p2 * t2)
+    powers = [poly_pow_coeffs(phi, n - k, n - 1, min_deg=lo) for k in range(k_hi + 1)]
 
     def coeff_at(k: int, degree: int) -> int:
         if degree < 0 or degree > n - 1:
             return 0
-        return powers[k][degree]
+        return powers[k][degree - lo]
 
     grid: dict[tuple[int, int], int] = {}
-    t2 = 0 if s2 is None else s2
     for a in range(max_p1 + 1):
         for b in range(max_p2 + 1):
             total = 0

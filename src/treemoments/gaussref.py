@@ -182,15 +182,16 @@ def normality_gap_report(
     grid = _grid(spec, max(max_p1, 2), max(max_p2, 2))
     var1 = _central_from_grid(grid, 2, 0)
     var2 = _central_from_grid(grid, 0, 2)
-    if var1 == 0 or var2 == 0:
-        raise DegenerateVariance(
-            "a statistic has zero variance; no normal comparison possible"
-        )
-    rho = _scaled_from_grid(grid, 1, 1, digits)
+    for s, var in ((spec.s1, var1), (spec.s2, var2)):
+        if var == 0:
+            raise DegenerateVariance(
+                f"X_{s} has zero variance at n={spec.n}; no normal comparison possible"
+            )
+    rho = _scaled_from_grid(spec, grid, 1, 1, digits)
     rows: list[GapRow] = []
     for p1 in range(max_p1 + 1):
         for p2 in range(max_p2 + 1):
-            alpha = _scaled_from_grid(grid, p1, p2, digits)
+            alpha = _scaled_from_grid(spec, grid, p1, p2, digits)
             poly = normal_mixed_moment_poly(p1, p2)
             reference = poly.evaluate_at_sqrt(rho.square, rho.sign)
             gap = alpha.value - reference

@@ -120,6 +120,7 @@ class ScaledMoment:
 
 
 def _scaled_from_grid(
+    spec: MomentSpec,
     grid: dict[tuple[int, int], int],
     p1: int,
     p2: int,
@@ -129,9 +130,9 @@ def _scaled_from_grid(
     var1 = _central_from_grid(grid, 2, 0) if p1 > 0 else Fraction(1)
     var2 = _central_from_grid(grid, 0, 2) if p2 > 0 else Fraction(1)
     if p1 > 0 and var1 <= 0:
-        raise DegenerateVariance("the first statistic has zero variance")
+        raise DegenerateVariance(f"X_{spec.s1} has zero variance at n={spec.n}")
     if p2 > 0 and var2 <= 0:
-        raise DegenerateVariance("the second statistic has zero variance")
+        raise DegenerateVariance(f"X_{spec.s2} has zero variance at n={spec.n}")
     square = m * m / (var1**p1 * var2**p2)
     sign = 1 if m > 0 else (-1 if m < 0 else 0)
     value = SqrtExpr.from_sqrt(sign, square)
@@ -145,7 +146,7 @@ def scaled_moment(
     need_p1 = max(p1, 2 if p1 > 0 else 0)
     need_p2 = max(p2, 2 if p2 > 0 else 0)
     grid = _grid(spec, need_p1, need_p2)
-    return _scaled_from_grid(grid, p1, p2, digits)
+    return _scaled_from_grid(spec, grid, p1, p2, digits)
 
 
 def correlation(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> ScaledMoment:
@@ -187,8 +188,8 @@ def moment_report(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> MomentRepor
         a, b = cell
         if (a > 0 and var1 == 0) or (b > 0 and var2 == 0):
             continue  # marked unavailable rather than raising
-        scaled[cell] = _scaled_from_grid(grid, a, b, digits)
+        scaled[cell] = _scaled_from_grid(spec, grid, a, b, digits)
     if spec.s2 is not None and var1 > 0 and var2 > 0:
         source = scaled.get((1, 1))
-        rho = source if source is not None else _scaled_from_grid(grid, 1, 1, digits)
+        rho = source if source is not None else _scaled_from_grid(spec, grid, 1, 1, digits)
     return MomentReport(spec, digits, raw, central, scaled, rho, degenerate)

@@ -9,6 +9,10 @@ denominator.
 Everything operates on truncated power series: results carry coefficients
 up to a caller-supplied max_deg and drop higher terms.  normalize() strips
 trailing zeros when a plain polynomial (not a truncation) is wanted.
+poly_pow_coeffs also takes min_deg and then returns only the coefficients
+min_deg..max_deg.  Its recurrence strategy keeps just that window and the
+last deg(phi) coefficients, trimming in blocks, so a caller that needs the
+coefficients near max_deg holds O(max_deg) bits instead of O(max_deg**2).
 
 Also houses the small combinatorial number helpers (Stirling numbers of the
 second kind, falling factorials) used to expand powers of the marking
@@ -71,42 +75,60 @@ def _pow_binary(phi: Poly, m: int, max_deg: int) -> Poly:
     return result
 
 
-def _pow_recurrence(phi: Poly, m: int, max_deg: int) -> Poly:
+# The recurrence computes this many coefficients between trims of its
+# window, so the per-coefficient loop carries no bookkeeping.
+_TRIM_BLOCK = 512
+
+
+def _pow_recurrence(phi: Poly, m: int, max_deg: int, min_deg: int) -> Poly:
     # From phi*(phi^m)' = m*phi'*phi^m:  j*c_j = sum_k b_k*((m+1)k - j)*c_{j-k}.
     if not phi or phi[0] != 1:
         raise NonUnitConstantTerm("power recurrence needs constant term 1")
-    support = [(k, phi[k]) for k in range(1, len(phi)) if phi[k]]
-    coeffs = [0] * (max_deg + 1)
-    coeffs[0] = 1
-    for j in range(1, max_deg + 1):
-        acc = 0
-        for k, bk in support:
-            if k > j:
-                break
-            acc += bk * ((m + 1) * k - j) * coeffs[j - k]
-        coeffs[j] = exact_div(acc, j)
-    return coeffs
+    # (k, b_k, b_k*(m+1)*k) for each nonzero b_k, k >= 1
+    support = [(k, phi[k], phi[k] * (m + 1) * k) for k in range(1, len(phi)) if phi[k]]
+    reach = support[-1][0] if support else 0
+    coeffs = [1]  # c_low..c_(j-1) before step j, so c_(j-k) is coeffs[-k]
+    low = 0
+    for block in range(1, max_deg + 1, _TRIM_BLOCK):
+        for j in range(block, min(block + _TRIM_BLOCK, max_deg + 1)):
+            acc = 0
+            for k, bk, bk_m1k in support:
+                if k > j:
+                    break
+                acc += (bk_m1k - bk * j) * coeffs[-k]
+            coeffs.append(exact_div(acc, j))
+        # keep c_min_deg on, and the last `reach` coefficients the next step needs
+        drop = min(min_deg, j + 1 - reach) - low
+        if drop > 0:
+            del coeffs[:drop]
+            low += drop
+    return coeffs[min_deg - low :]
 
 
-def poly_pow_coeffs(phi: Poly, m: int, max_deg: int, strategy: str = "recurrence") -> Poly:
-    """Coefficients c_0..c_max_deg of phi**m.
+def poly_pow_coeffs(
+    phi: Poly, m: int, max_deg: int, strategy: str = "recurrence", min_deg: int = 0
+) -> Poly:
+    """Coefficients c_min_deg..c_max_deg of phi**m.
 
     strategy="recurrence" (default) uses the first-order coefficient
     recurrence derived from phi*(phi^m)' = m*phi'*phi^m; it needs
-    phi(0) == 1 and performs one exact small division per coefficient.
+    phi(0) == 1 and performs one exact small division per coefficient,
+    holding only the coefficients from min_deg on plus the last deg(phi).
     strategy="binary" is plain binary exponentiation with truncation,
-    kept as an independent cross-check path.
+    kept as an independent cross-check path; it slices its full result.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
+    if not 0 <= min_deg <= max_deg:
+        raise ValueError("min_deg must lie in 0..max_deg")
     if m == 0:
-        return [1] + [0] * max_deg
+        return ([1] + [0] * max_deg)[min_deg:]
     if strategy == "recurrence":
-        return _pow_recurrence(phi, m, max_deg)
+        return _pow_recurrence(phi, m, max_deg, min_deg)
     if strategy == "binary":
-        return _pow_binary(phi, m, max_deg)
+        return _pow_binary(phi, m, max_deg)[min_deg:]
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -11,6 +11,18 @@ homogeneous linear system over rationals and insisting that a margin of
 held-out trailing terms also satisfies the result.  verify_recurrence and
 extend_sequence check and apply a relation exactly.
 
+Each (order, degree) system has integer rows term * n**e.  Before any exact
+solve the rows are reduced modulo the prime 2**61 - 1 (Kauers, "The Guessing
+Handbook", 2009).  The rank over Q is at least the rank mod p, so full
+column rank mod p proves the system has no nonzero solution and it is
+skipped; most of a failed search ends there.  Otherwise the exact
+Gauss-Jordan runs only on the rows independent mod p, which are independent
+over Q, and every basis vector is checked against every row.  If all pass,
+the subsystem has the same nullspace as the whole system, hence the same
+reduced row echelon form and the same basis, so the result is the one the
+all-rows solve would give.  If one fails (an unlucky prime), the whole
+system is solved.  A prime can cost time but never change the output.
+
 Sequence indexing: seq[i] is the term a_{start+i}; start defaults to 1.
 """
 
@@ -23,6 +35,9 @@ from math import comb, gcd, lcm
 from .errors import InsufficientData, LeadingCoefficientZero
 
 DEFAULT_MARGIN = 8
+
+# The prime guess_recurrence prunes with; any prime gives the same output.
+_MODULUS = 2**61 - 1
 
 IntPoly = tuple[int, ...]  # coefficient at index e multiplies n**e
 
@@ -275,10 +290,14 @@ def _nullspace(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
     return basis
 
 
+def _clear_denominators(vec: list[Fraction]) -> list[int]:
+    scale = lcm(*(v.denominator for v in vec)) if vec else 1
+    return [int(v * scale) for v in vec]
+
+
 def _candidate_from_vector(vec, order: int, degree: int) -> Recurrence | None:
     """Clear denominators and build a normalized Recurrence, if nondegenerate."""
-    scale = lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [int(v * scale) for v in vec]
+    ints = _clear_denominators(vec)
     width = degree + 1
     polys = [tuple(ints[j * width : (j + 1) * width]) for j in range(order + 1)]
     if all(c == 0 for c in polys[-1]):
@@ -286,6 +305,52 @@ def _candidate_from_vector(vec, order: int, degree: int) -> Recurrence | None:
     if all(all(c == 0 for c in q) for q in polys):
         return None
     return Recurrence(tuple(polys)).normalized()
+
+
+def _independent_rows_mod(rows, cols: int) -> list[int] | None:
+    """Indices of rows independent modulo _MODULUS, or None at full column rank.
+
+    Rows are reduced one at a time against the echelon basis built so far;
+    the scan stops as soon as the rank reaches cols.
+    """
+    modulus = _MODULUS
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with pivot 1)
+    kept: list[int] = []
+    for index, row in enumerate(rows):
+        vec = [c % modulus for c in row]
+        for col, pivot_row in basis:
+            factor = vec[col]
+            if factor:
+                vec = [(a - factor * b) % modulus for a, b in zip(vec, pivot_row)]
+        col = next((c for c, v in enumerate(vec) if v), None)
+        if col is None:
+            continue
+        inv = pow(vec[col], -1, modulus)
+        basis.append((col, [v * inv % modulus for v in vec]))
+        kept.append(index)
+        if len(kept) == cols:
+            return None
+    return kept
+
+
+def _solves(vec: list[Fraction], rows) -> bool:
+    """Whether the rational vector is in the nullspace of every integer row."""
+    ints = _clear_denominators(vec)
+    return all(sum(a * b for a, b in zip(row, ints)) == 0 for row in rows)
+
+
+def _exact_nullspace(rows, cols: int) -> list[list[Fraction]]:
+    """_nullspace of the integer rows, pruned modulo _MODULUS.
+
+    Returns the same basis as solving every row; see the module docstring.
+    """
+    kept = _independent_rows_mod(rows, cols)
+    if kept is None:
+        return []
+    basis = _nullspace([[Fraction(c) for c in rows[i]] for i in kept], cols)
+    if all(_solves(vec, rows) for vec in basis):
+        return basis
+    return _nullspace([[Fraction(c) for c in row] for row in rows], cols)
 
 
 def guess_recurrence(
@@ -322,11 +387,11 @@ def guess_recurrence(
                 row = []
                 for j in range(order + 1):
                     term = seq[i + j]
-                    row.extend(Fraction(term * n**e) for e in range(width))
+                    row.extend(term * n**e for e in range(width))
                 rows.append(row)
             if len(rows) < cols:
                 continue
-            for vec in _nullspace(rows, cols):
+            for vec in _exact_nullspace(rows, cols):
                 candidate = _candidate_from_vector(vec, order, degree)
                 if candidate is None:
                     continue

@@ -223,6 +223,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: DegenerateVariance:")
 
+    def test_degenerate_variance_names_n_and_statistic_in_a_range(self, capsys):
+        code, _, err = run(
+            capsys, "scaled", "-S", "0,1,2", "-n", "1..5", "--s1", "1", "--p", "2"
+        )
+        assert code == 2
+        assert err.startswith("error: DegenerateVariance:")
+        assert "n=1" in err and "X_1" in err
+
     def test_no_trees_is_a_domain_error_for_moments(self, capsys):
         code, _, err = run(capsys, "moments", "-S", "0,2", "-n", "4", "--s1", "0")
         assert code == 2

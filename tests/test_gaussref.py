@@ -151,7 +151,7 @@ class TestGapReport:
         assert report.rho.square == correlation(spec).square
 
     def test_degenerate_variance_raises(self):
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(DegenerateVariance, match=r"X_0 .*n=2"):
             normality_gap_report(MomentSpec(ChildSet((0, 1, 2)), 2, 0, 1), 2, 2)
 
     def test_odd_cells_hold_one_root_and_round_exactly(self):

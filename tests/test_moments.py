@@ -154,7 +154,7 @@ class TestScaledMoments:
         assert sm.value.render(8) == sm.text
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(DegenerateVariance, match=r"X_0 .*n=2"):
             scaled_moment(MomentSpec(S012, 2, 0, 1), 2, 2)
 
     def test_correlation_needs_pair(self):

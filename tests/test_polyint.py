@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treemoments.errors import NonUnitConstantTerm
@@ -71,6 +71,31 @@ class TestPowerCoefficients:
         assert poly_pow_coeffs(phi, m, max_deg, "binary") == poly_pow_coeffs(
             phi, m, max_deg, "recurrence"
         )
+
+    @given(
+        support=st.sets(st.integers(min_value=1, max_value=6), min_size=0, max_size=4),
+        m=st.integers(min_value=0, max_value=12),
+        max_deg=st.integers(min_value=0, max_value=1300),
+        lo=st.integers(min_value=0, max_value=1300),
+    )
+    # a window past the recurrence's first trim block
+    @example(support={1, 2, 6}, m=3, max_deg=1300, lo=1290)
+    @settings(max_examples=60, deadline=None)
+    def test_min_deg_returns_the_tail(self, support, m, max_deg, lo):
+        phi = [1] + [0] * max(support, default=0)
+        for s in support:
+            phi[s] = 1
+        lo = min(lo, max_deg)
+        for strategy in ("recurrence", "binary"):
+            full = poly_pow_coeffs(phi, m, max_deg, strategy=strategy)
+            tail = poly_pow_coeffs(phi, m, max_deg, strategy=strategy, min_deg=lo)
+            assert tail == full[lo:]
+
+    def test_min_deg_outside_the_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            poly_pow_coeffs([1, 1], 2, 3, min_deg=-1)
+        with pytest.raises(ValueError):
+            poly_pow_coeffs([1, 1], 2, 3, min_deg=4)
 
     def test_recurrence_needs_unit_constant_term(self):
         with pytest.raises(NonUnitConstantTerm):

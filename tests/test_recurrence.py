@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import treemoments.recurrence as recurrence
 from treemoments import (
     ChildSet,
     InsufficientData,
@@ -217,3 +218,78 @@ class TestGuessing:
             guess_recurrence(COUNTS, 2, -1)
         with pytest.raises(ValueError):
             guess_recurrence(COUNTS, 2, 1, margin=-1)
+
+
+def all_rows_guess(seq, max_order, max_degree, start=1, margin=8):
+    """Reference search: Fraction Gauss-Jordan on every row of every system."""
+    fit_len = len(seq) - margin
+    for order in range(1, max_order + 1):
+        for degree in range(max_degree + 1):
+            width = degree + 1
+            cols = (order + 1) * width
+            rows = [
+                [
+                    Fraction(seq[i + j] * (start + i) ** e)
+                    for j in range(order + 1)
+                    for e in range(width)
+                ]
+                for i in range(fit_len - order)
+            ]
+            if len(rows) < cols:
+                continue
+            for vec in recurrence._nullspace(rows, cols):
+                candidate = recurrence._candidate_from_vector(vec, order, degree)
+                if candidate is not None and verify_recurrence(candidate, seq, start=start):
+                    return Recurrence(
+                        candidate.coefficients, start, start + len(seq) - 1 - order
+                    )
+    return None
+
+
+SWEEP_SETS = [(0, 1), (0, 2), (0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 1, 2, 3), (0, 3)]
+SWEEP = [
+    (support, s1, p, bounds)
+    for support in SWEEP_SETS
+    for s1 in support
+    for p in (1, 2)
+    for bounds in ((2, 2), (3, 3), (4, 2))
+]
+
+
+class TestModularPruning:
+    @pytest.mark.parametrize(
+        "support, s1, p, bounds",
+        SWEEP,
+        ids=[
+            f"S{''.join(map(str, c[0]))}-s{c[1]}-p{c[2]}-{c[3][0]}x{c[3][1]}"
+            for c in SWEEP
+        ],
+    )
+    def test_matches_all_rows_search(self, support, s1, p, bounds):
+        seq = numerator_sequence(ChildSet(support), s1, None, p, 0, 40).sequence(p)
+        assert guess_recurrence(seq, *bounds) == all_rows_guess(seq, *bounds)
+
+    def test_unlucky_modulus_falls_back_to_all_rows(self, monkeypatch):
+        expected = guess_recurrence(COUNTS, 3, 2)
+        solved = []
+        nullspace = recurrence._nullspace
+
+        def spy(rows, cols):
+            solved.append(len(rows))
+            return nullspace(rows, cols)
+
+        monkeypatch.setattr(recurrence, "_MODULUS", 2)
+        monkeypatch.setattr(recurrence, "_nullspace", spy)
+        rec = guess_recurrence(COUNTS, 3, 2)
+        assert rec == expected
+        # order 1 systems have 40 - 8 - 1 rows; a fallback solves all of them
+        assert len(COUNTS) - 8 - 1 in solved
+
+    def test_failed_search_makes_no_exact_solve(self, monkeypatch):
+        seq = numerator_sequence(ChildSet((0, 1, 5)), 0, 5, 2, 2, 90).sequence(2, 2)
+        calls = []
+        monkeypatch.setattr(
+            recurrence, "_nullspace", lambda rows, cols: calls.append(rows) or []
+        )
+        assert guess_recurrence(seq, 5, 5) is None
+        assert calls == []
