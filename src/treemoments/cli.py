@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: count, numerator, moments, scaled, normal-compare, guess-rec,
-enumerate, sample.  Exit codes: 0 success, 1 usage error, 2 domain error
-(no trees, degenerate variance, enumeration cap, ...), with a one-line
-`error: <CODE>: <message>` on standard error.
+enumerate, sample.  Exit codes: 0 success, 1 usage error, found while
+parsing before any work starts, 2 domain error (no trees, degenerate
+variance, enumeration cap, ...), each with a one-line `error: usage: ...`
+or `error: <CODE>: <message>` on standard error.  Any other failure is an
+internal bug and ends in a traceback.
 
 Output is deterministic: identical arguments (including --seed) produce
 byte-identical bytes.  Every number printed is an exact integer, an exact
@@ -19,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from random import Random
 from typing import IO, Iterable
 
@@ -34,36 +36,6 @@ from .recurrence import guess_recurrence
 ENUM_CAP_ENV = "TREEMOMENTS_ENUM_CAP"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one invocation."""
-
-    command: str
-    child_set: ChildSet
-    n_lo: int = 1
-    n_hi: int = 1
-    s1: int | None = None
-    s2: int | None = None
-    p1: int = 0
-    p2: int = 0
-    max_p1: int = 2
-    max_p2: int = 2
-    fmt: str = "text"
-    digits: int = DEFAULT_DIGITS
-    seed: int = 0
-    count: int = 1
-    cap: int = DEFAULT_ENUMERATION_CAP
-    stat: str = "count"
-    terms: int = 40
-    max_order: int = 4
-    max_degree: int = 3
-    margin: int = 8
-
-    @property
-    def single_n(self) -> bool:
-        return self.n_lo == self.n_hi
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this surface uses 1."""
 
@@ -76,32 +48,47 @@ def _parse_child_set(text: str) -> ChildSet:
     try:
         values = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"child set {text!r} is not a comma-separated integer list")
-    return ChildSet(values)
+        raise argparse.ArgumentTypeError(
+            f"child set {text!r} is not a comma-separated integer list"
+        ) from None
+    try:
+        return ChildSet(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_n(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        lo = hi = 0  # reported below as a bad range
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad n range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad n range {text!r}")
     return lo, hi
 
 
 def _parse_powers(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        pair = (int(parts[0]), 0)
-    elif len(parts) == 2:
-        pair = (int(parts[0]), int(parts[1]))
-    else:
-        raise ValueError(f"bad power pair {text!r}")
-    if pair[0] < 0 or pair[1] < 0:
-        raise ValueError("powers must be nonnegative")
-    return pair
+    try:
+        p1, p2 = map(int, text.split(",")) if "," in text else (int(text), 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad power pair {text!r}") from None
+    if p1 < 0 or p2 < 0:
+        raise argparse.ArgumentTypeError("powers must be nonnegative")
+    return p1, p2
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 class RowWriter:
@@ -162,45 +149,42 @@ class RowWriter:
                 self._print_aligned(cells)
 
 
-def _cmd_count(cfg: RunConfig, out: IO[str]) -> None:
-    if cfg.single_n and cfg.fmt == "text":
-        out.write(f"{count_trees(cfg.child_set, cfg.n_lo)}\n")
+def _per_n(
+    args: argparse.Namespace, out: IO[str], columns: list[str], row, bare: str
+) -> None:
+    """A single n in text prints row(n)[bare] alone; otherwise one row per n."""
+    lo, hi = args.n
+    if lo == hi and args.format == "text":
+        out.write(f"{row(lo)[bare]}\n")
         return
-    writer = RowWriter(cfg.fmt, ["n", "count"], out, buffered=cfg.single_n)
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
-        writer.write({"n": n, "count": count_trees(cfg.child_set, n)})
+    writer = RowWriter(args.format, columns, out, buffered=lo == hi)
+    for n in range(lo, hi + 1):
+        writer.write(row(n))
     writer.close()
 
 
-def _cmd_numerator(cfg: RunConfig, out: IO[str]) -> None:
-    with_pair = cfg.s2 is not None
-    columns = ["n", "s1", "p1", "numerator"]
-    if with_pair:
-        columns = ["n", "s1", "p1", "s2", "p2", "numerator"]
-    if cfg.single_n and cfg.fmt == "text":
-        query = NumeratorQuery(
-            cfg.child_set, cfg.n_lo, cfg.s1, cfg.p1, cfg.s2, cfg.p2
-        )
-        out.write(f"{numerator_mixed(query)}\n")
-        return
-    writer = RowWriter(cfg.fmt, columns, out, buffered=cfg.single_n)
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
-        query = NumeratorQuery(cfg.child_set, n, cfg.s1, cfg.p1, cfg.s2, cfg.p2)
-        row = {"n": n, "s1": cfg.s1, "p1": cfg.p1}
-        if with_pair:
-            row["s2"] = cfg.s2
-            row["p2"] = cfg.p2
-        row["numerator"] = numerator_mixed(query)
-        writer.write(row)
-    writer.close()
+def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
+    def row(n: int) -> dict:
+        return {"n": n, "count": count_trees(args.child_set, n)}
+
+    _per_n(args, out, ["n", "count"], row, "count")
 
 
-def _cmd_moments(cfg: RunConfig, out: IO[str]) -> None:
-    spec = MomentSpec(
-        cfg.child_set, cfg.n_lo, cfg.s1, cfg.s2, cfg.max_p1, cfg.max_p2
-    )
-    report = moment_report(spec, cfg.digits)
-    writer = RowWriter(cfg.fmt, ["p1", "p2", "raw", "central", "scaled"], out, True)
+def _cmd_numerator(args: argparse.Namespace, out: IO[str]) -> None:
+    query = args.query
+    keys = ["s1", "p1"] if query.s2 is None else ["s1", "p1", "s2", "p2"]
+
+    def row(n: int) -> dict:
+        cells = {"n": n, **{key: getattr(query, key) for key in keys}}
+        cells["numerator"] = numerator_mixed(replace(query, n=n))
+        return cells
+
+    _per_n(args, out, ["n", *keys, "numerator"], row, "numerator")
+
+
+def _cmd_moments(args: argparse.Namespace, out: IO[str]) -> None:
+    report = moment_report(args.query, args.digits)
+    writer = RowWriter(args.format, ["p1", "p2", "raw", "central", "scaled"], out, True)
     for cell in sorted(report.raw):
         scaled = report.scaled.get(cell)
         writer.write(
@@ -215,33 +199,21 @@ def _cmd_moments(cfg: RunConfig, out: IO[str]) -> None:
     writer.close()
 
 
-def _cmd_scaled(cfg: RunConfig, out: IO[str]) -> None:
-    if cfg.single_n and cfg.fmt == "text":
-        spec = MomentSpec(cfg.child_set, cfg.n_lo, cfg.s1, cfg.s2)
-        out.write(f"{scaled_moment(spec, cfg.p1, cfg.p2, cfg.digits).text}\n")
-        return
-    writer = RowWriter(cfg.fmt, ["n", "p1", "p2", "alpha", "exact"], out, cfg.single_n)
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
-        spec = MomentSpec(cfg.child_set, n, cfg.s1, cfg.s2)
-        value = scaled_moment(spec, cfg.p1, cfg.p2, cfg.digits)
-        writer.write(
-            {
-                "n": n,
-                "p1": cfg.p1,
-                "p2": cfg.p2,
-                "alpha": value.text,
-                "exact": None if value.exact is None else str(value.exact),
-            }
-        )
-    writer.close()
+def _cmd_scaled(args: argparse.Namespace, out: IO[str]) -> None:
+    p1, p2 = args.p
+
+    def row(n: int) -> dict:
+        value = scaled_moment(replace(args.query, n=n), p1, p2, args.digits)
+        exact = None if value.exact is None else str(value.exact)
+        return {"n": n, "p1": p1, "p2": p2, "alpha": value.text, "exact": exact}
+
+    _per_n(args, out, ["n", "p1", "p2", "alpha", "exact"], row, "alpha")
 
 
-def _cmd_normal_compare(cfg: RunConfig, out: IO[str]) -> None:
-    spec = MomentSpec(
-        cfg.child_set, cfg.n_lo, cfg.s1, cfg.s2, cfg.max_p1, cfg.max_p2
-    )
-    report = normality_gap_report(spec, cfg.max_p1, cfg.max_p2, cfg.digits)
-    writer = RowWriter(cfg.fmt, ["p1", "p2", "alpha", "normal", "gap"], out, True)
+def _cmd_normal_compare(args: argparse.Namespace, out: IO[str]) -> None:
+    spec = args.query
+    report = normality_gap_report(spec, spec.max_p1, spec.max_p2, args.digits)
+    writer = RowWriter(args.format, ["p1", "p2", "alpha", "normal", "gap"], out, True)
     for row in report.rows:
         writer.write(
             {
@@ -255,22 +227,21 @@ def _cmd_normal_compare(cfg: RunConfig, out: IO[str]) -> None:
     writer.close()
 
 
-def _cmd_guess_rec(cfg: RunConfig, out: IO[str]) -> None:
-    if cfg.stat == "count":
-        seq = [count_trees(cfg.child_set, n) for n in range(1, cfg.terms + 1)]
+def _cmd_guess_rec(args: argparse.Namespace, out: IO[str]) -> None:
+    if args.stat == "count":
+        seq = [count_trees(args.child_set, n) for n in range(1, args.terms + 1)]
     else:
-        table = numerator_sequence(
-            cfg.child_set, cfg.s1, cfg.s2, cfg.p1, cfg.p2, cfg.terms
-        )
-        seq = table.sequence(cfg.p1, cfg.p2)
-    rec = guess_recurrence(seq, cfg.max_order, cfg.max_degree, margin=cfg.margin)
-    if cfg.fmt == "json":
+        q = args.query
+        table = numerator_sequence(q.child_set, q.s1, q.s2, q.p1, q.p2, q.n)
+        seq = table.sequence(q.p1, q.p2)
+    rec = guess_recurrence(seq, args.max_order, args.max_degree, margin=args.margin)
+    if args.format == "json":
         if rec is None:
             out.write(json.dumps({"found": False}) + "\n")
         else:
             out.write(json.dumps({"found": True, **rec.to_json_dict()}) + "\n")
         return
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["order", "degree", "coefficients", "verified_from", "verified_to", "text"]
@@ -290,25 +261,25 @@ def _cmd_guess_rec(cfg: RunConfig, out: IO[str]) -> None:
     out.write("none\n" if rec is None else rec.render_text() + "\n")
 
 
-def _write_codes(cfg: RunConfig, out: IO[str], codes: Iterable) -> None:
-    if cfg.fmt == "text":
+def _write_codes(args: argparse.Namespace, out: IO[str], codes: Iterable) -> None:
+    if args.format == "text":
         for code in codes:
             out.write(format_code(code) + "\n")
         return
-    writer = RowWriter(cfg.fmt, ["code"], out, buffered=False)
+    writer = RowWriter(args.format, ["code"], out, buffered=False)
     for code in codes:
         writer.write({"code": list(code)})
     writer.close()
 
 
-def _cmd_enumerate(cfg: RunConfig, out: IO[str]) -> None:
-    _write_codes(cfg, out, enumerate_trees(cfg.child_set, cfg.n_lo, cfg.cap))
+def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
+    _write_codes(args, out, enumerate_trees(args.child_set, args.n[0], args.cap))
 
 
-def _cmd_sample(cfg: RunConfig, out: IO[str]) -> None:
-    sampler = TreeSampler(cfg.child_set, cfg.n_lo)
-    rng = Random(cfg.seed)
-    _write_codes(cfg, out, (sampler.sample(rng) for _ in range(cfg.count)))
+def _cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
+    sampler = TreeSampler(args.child_set, args.n[0])
+    rng = Random(args.seed)
+    _write_codes(args, out, (sampler.sample(rng) for _ in range(args.count)))
 
 
 _HANDLERS = {
@@ -339,6 +310,7 @@ def build_parser() -> _Parser:
         sp.add_argument(
             "-S",
             "--child-set",
+            type=_parse_child_set,
             required=True,
             metavar="LIST",
             help="allowed child counts, e.g. 0,1,2 (must contain 0)",
@@ -346,6 +318,7 @@ def build_parser() -> _Parser:
         if with_n:
             sp.add_argument(
                 "-n",
+                type=_parse_n,
                 required=True,
                 metavar="N[..M]",
                 help="vertex count, or inclusive range like 1..60",
@@ -358,9 +331,18 @@ def build_parser() -> _Parser:
         )
         sp.add_argument(
             "--digits",
-            type=int,
+            type=_at_least(0),
             default=DEFAULT_DIGITS,
             help="decimal digits after the point (default 30)",
+        )
+
+    def powers(sp, default):
+        sp.add_argument(
+            "--p",
+            type=_parse_powers,
+            default=default,
+            metavar="P1[,P2]",
+            help=f"powers (default {default})",
         )
 
     sp = sub.add_parser("count", help="number of trees on n vertices")
@@ -370,19 +352,19 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--s1", type=int, required=True, help="first child-count statistic")
     sp.add_argument("--s2", type=int, help="second child-count statistic")
-    sp.add_argument("--p", default="1", metavar="P1[,P2]", help="powers (default 1)")
+    powers(sp, "1")
 
     sp = sub.add_parser("moments", help="raw/central/scaled moment table")
     common(sp)
     sp.add_argument("--s1", type=int, required=True)
     sp.add_argument("--s2", type=int)
-    sp.add_argument("--max-p", default=None, metavar="A[,B]", help="grid bounds")
+    sp.add_argument("--max-p", type=_parse_powers, metavar="A[,B]", help="grid bounds")
 
     sp = sub.add_parser("scaled", help="one scaled mixed moment alpha_{p1,p2}")
     common(sp)
     sp.add_argument("--s1", type=int, required=True)
     sp.add_argument("--s2", type=int)
-    sp.add_argument("--p", default="2", metavar="P1[,P2]", help="powers (default 2)")
+    powers(sp, "2")
 
     sp = sub.add_parser(
         "normal-compare", help="scaled moments vs bivariate normal reference"
@@ -390,7 +372,9 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--s1", type=int, required=True)
     sp.add_argument("--s2", type=int, required=True)
-    sp.add_argument("--max-p", default="2,2", metavar="A,B", help="grid bounds")
+    sp.add_argument(
+        "--max-p", type=_parse_powers, default="2,2", metavar="A,B", help="grid bounds"
+    )
 
     sp = sub.add_parser("guess-rec", help="guess a P-recursive recurrence")
     common(sp, with_n=False)
@@ -402,11 +386,15 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("--s1", type=int, help="statistic for --stat numerator")
     sp.add_argument("--s2", type=int)
-    sp.add_argument("--p", default="1", metavar="P1[,P2]")
-    sp.add_argument("--terms", type=int, default=40, help="terms to fit (default 40)")
-    sp.add_argument("--max-order", type=int, default=4)
-    sp.add_argument("--max-degree", type=int, default=3)
-    sp.add_argument("--margin", type=int, default=8, help="held-out terms (default 8)")
+    powers(sp, "1")
+    sp.add_argument(
+        "--terms", type=_at_least(1), default=40, help="terms to fit (default 40)"
+    )
+    sp.add_argument("--max-order", type=_at_least(1), default=4)
+    sp.add_argument("--max-degree", type=_at_least(0), default=3)
+    sp.add_argument(
+        "--margin", type=_at_least(0), default=8, help="held-out terms (default 8)"
+    )
 
     sp = sub.add_parser("enumerate", help="list all trees as child-count codes")
     common(sp)
@@ -415,74 +403,51 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="uniform random trees")
     common(sp)
     sp.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    sp.add_argument("--count", type=int, default=1, help="samples (default 1)")
+    sp.add_argument("--count", type=_at_least(1), default=1, help="samples (default 1)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    child_set = _parse_child_set(args.child_set)
-    kwargs: dict = {"command": args.command, "child_set": child_set}
-    if getattr(args, "n", None) is not None:
-        kwargs["n_lo"], kwargs["n_hi"] = _parse_n(args.n)
-        if args.command in _SINGLE_N and kwargs["n_lo"] != kwargs["n_hi"]:
-            raise ValueError(f"{args.command} takes a single n, not a range")
-    kwargs["fmt"] = args.format
-    if args.digits < 0:
-        raise ValueError("--digits must be nonnegative")
-    kwargs["digits"] = args.digits
-    if hasattr(args, "s1"):
-        kwargs["s1"] = args.s1
-        kwargs["s2"] = args.s2
-    if hasattr(args, "p"):
-        kwargs["p1"], kwargs["p2"] = _parse_powers(args.p)
-    if getattr(args, "max_p", None) is not None:
-        kwargs["max_p1"], kwargs["max_p2"] = _parse_powers(args.max_p)
-    elif args.command == "moments":
-        kwargs["max_p1"] = 2
-        kwargs["max_p2"] = 2 if args.s2 is not None else 0
-    if hasattr(args, "seed"):
-        kwargs["seed"] = args.seed
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        kwargs["count"] = args.count
-    if hasattr(args, "cap"):
-        cap = args.cap
-        if cap is None:
-            cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUMERATION_CAP))
-        kwargs["cap"] = cap
-    if hasattr(args, "stat"):
-        kwargs["stat"] = args.stat
-        if args.stat == "numerator" and args.s1 is None:
-            raise ValueError("--stat numerator requires --s1")
-        if args.terms < 1:
-            raise ValueError("--terms must be at least 1")
-        kwargs["terms"] = args.terms
-        kwargs["max_order"] = args.max_order
-        kwargs["max_degree"] = args.max_degree
-        kwargs["margin"] = args.margin
-    return RunConfig(**kwargs)
+def _check(parser: _Parser, args: argparse.Namespace) -> None:
+    """Usage checks that span arguments; the command's library query to args.query."""
+    lo, hi = getattr(args, "n", (1, 1))
+    if args.command in _SINGLE_N and lo != hi:
+        parser.error(f"{args.command} takes a single n, not a range")
+    if args.command == "enumerate" and args.cap is None:
+        text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUMERATION_CAP))
+        try:
+            args.cap = int(text)
+        except ValueError:
+            parser.error(f"{ENUM_CAP_ENV}={text!r} is not an integer")
+    try:
+        if args.command in ("moments", "normal-compare", "scaled"):
+            bounds = args.p if args.command == "scaled" else args.max_p or ()
+            args.query = MomentSpec(args.child_set, lo, args.s1, args.s2, *bounds)
+        elif args.command == "numerator" or getattr(args, "stat", None) == "numerator":
+            if args.s1 is None:
+                parser.error("--stat numerator requires --s1")
+            n = args.terms if args.command == "guess-rec" else lo
+            p1, p2 = args.p
+            args.query = NumeratorQuery(args.child_set, n, args.s1, p1, args.s2, p2)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # Exact answers can exceed Python's int->str digit limit (4300 by
+    # default); lift it for the handler only, since main also runs in-process.
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    old_limit = sys.get_int_max_str_digits() if has_limit else None
     try:
         args = parser.parse_args(argv)
+        _check(parser, args)
+        if has_limit:
+            sys.set_int_max_str_digits(0)
+        _HANDLERS[args.command](args, sys.stdout)
+        sys.stdout.flush()
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    # Exact answers can exceed Python's int->str digit limit (4300 by
-    # default); lift it for this call only, since main also runs in-process.
-    has_limit = hasattr(sys, "set_int_max_str_digits")
-    if has_limit:
-        old_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        config = _config_from_args(args)
-        _HANDLERS[config.command](config, sys.stdout)
-        sys.stdout.flush()
-    except ValueError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,28 @@ from .errors import InvalidQuery
 from .polyint import exact_div, falling_factorial, poly_pow_coeffs, stirling2
 
 
+def check_query(
+    child_set: ChildSet, n: int, s1: int, p1: int, s2: int | None = None, p2: int = 0
+) -> None:
+    """Reject a bad N_{p1,p2}(X_{n,s1}, X_{n,s2}) request with ValueError.
+
+    s1 == s2 with both powers positive raises InvalidQuery, a DomainError.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if p1 < 0 or p2 < 0:
+        raise ValueError("powers must be nonnegative")
+    if s1 not in child_set:
+        raise ValueError(f"s1={s1} not in child set {child_set}")
+    if s2 is None:
+        if p2 != 0:
+            raise ValueError("p2 must be 0 when s2 is absent")
+    elif s2 not in child_set:
+        raise ValueError(f"s2={s2} not in child set {child_set}")
+    elif s2 == s1 and p1 > 0 and p2 > 0:
+        raise InvalidQuery("s1 == s2 with both powers positive; merge the powers first")
+
+
 @dataclass(frozen=True)
 class NumeratorQuery:
     """One numerator request: N_{p1,p2}(X_{n,s1}, X_{n,s2})."""
@@ -39,22 +61,7 @@ class NumeratorQuery:
     p2: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.p1 < 0 or self.p2 < 0:
-            raise ValueError("powers must be nonnegative")
-        if self.s1 not in self.child_set:
-            raise ValueError(f"s1={self.s1} not in child set {self.child_set}")
-        if self.s2 is None:
-            if self.p2 != 0:
-                raise ValueError("p2 must be 0 when s2 is absent")
-        else:
-            if self.s2 not in self.child_set:
-                raise ValueError(f"s2={self.s2} not in child set {self.child_set}")
-            if self.s2 == self.s1 and self.p1 > 0 and self.p2 > 0:
-                raise InvalidQuery(
-                    "s1 == s2 with both powers positive; merge the powers first"
-                )
+        check_query(self.child_set, self.n, self.s1, self.p1, self.s2, self.p2)
 
 
 @dataclass
@@ -108,14 +115,7 @@ def numerator_grid(
     every grid cell is then a short Stirling-weighted sum of their
     coefficients.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s2 is None and max_p2 > 0:
-        raise ValueError("max_p2 must be 0 when s2 is absent")
-    if s2 is not None and s2 == s1 and max_p1 > 0 and max_p2 > 0:
-        raise InvalidQuery(
-            "s1 == s2 with both powers positive; merge the powers first"
-        )
+    check_query(child_set, n, s1, max_p1, s2, max_p2)
     phi = child_set.offspring_polynomial()
     t2 = 0 if s2 is None else s2
     k_hi = min(max_p1 + max_p2, n)
@@ -161,10 +161,7 @@ def numerator_sequence(
     n_max: int,
 ) -> NumeratorTable:
     """Numerators for every n = 1..n_max (whole grid up to (p1, p2))."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    # validate indices once via the query type
-    NumeratorQuery(child_set, 1, s1, p1, s2, p2)
+    check_query(child_set, n_max, s1, p1, s2, p2)
     table = NumeratorTable(child_set, s1, s2, n_max, p1, p2)
     for n in range(1, n_max + 1):
         grid = numerator_grid(child_set, n, s1, s2, p1, p2)

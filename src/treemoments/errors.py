@@ -1,12 +1,12 @@
 """Exception types shared across the package.
 
-DomainError subclasses are expected, user-facing failure modes (no trees of
-the requested size, degenerate variance, ...).  The CLI maps them to exit
-code 2 and prints ``error: <CODE>: <message>`` on stderr, where CODE is the
-class name.  Precondition violations (bad argument types/values) raise plain
-ValueError and are treated as usage errors.  Internal invariant failures
-(e.g. an exact division that does not come out exact) raise ArithmeticError:
-those indicate a bug, never bad input.
+DomainError subclasses are expected, user-facing failures (no trees of the
+requested size, degenerate variance, ...).  The CLI maps them to exit code 2
+and prints ``error: <CODE>: <message>`` on stderr, CODE being the class name.
+Library functions reject bad arguments with ValueError.  The CLI decides
+usage errors (exit 1) while parsing, before any work starts, so any other
+failure after that, such as a ValueError or an ArithmeticError from an exact
+division that is not exact, is an internal bug and surfaces as a traceback.
 """
 
 from __future__ import annotations

@@ -172,9 +172,8 @@ def normality_gap_report(
 
     The reference shares the exact radicand rho^2 with the scaled moments,
     so structurally forced rows like (1,1) and (2,0) cancel to exactly zero.
+    The spec must carry two statistics.
     """
-    if spec.s2 is None:
-        raise ValueError("the normality comparison needs two statistics")
     if max_p1 is None:
         max_p1 = spec.max_p1
     if max_p2 is None:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from treemoments import ChildSet, count_trees, enumerate_trees, format_code, is_valid_code, parse_code
+from treemoments import cli
 from treemoments.cli import main
 
 
@@ -113,6 +114,17 @@ class TestFormats:
         assert lines[0] == "n,s1,p1,s2,p2,numerator"
         assert lines[1].startswith("3,0,1,1,1,")
 
+    def test_numerator_rows_without_s2_have_no_pair_keys(self, capsys):
+        code, out, _ = run(
+            capsys, "numerator", "-S", "0,1,2", "-n", "2..3", "--s1", "0",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"n": 2, "s1": 0, "p1": 1, "numerator": 1},
+            {"n": 3, "s1": 0, "p1": 1, "numerator": 3},
+        ]
+
     def test_moments_table_shape(self, capsys):
         code, out, _ = run(
             capsys, "moments", "-S", "0,1,2", "-n", "30", "--s1", "0", "--s2", "1",
@@ -191,7 +203,7 @@ class TestExitCodes:
         assert err.startswith("error: usage:")
 
     def test_bad_n_range(self, capsys):
-        for bad in ("0", "5..3", "2..x"):
+        for bad in ("0", "5..3", "2..x", "5.."):
             code, _, err = run(capsys, "count", "-S", "0,1,2", "-n", bad)
             assert code == 1, bad
             assert err.startswith("error: usage:"), bad
@@ -246,6 +258,56 @@ class TestExitCodes:
             capsys, "numerator", "-S", "0,1,2", "-n", "5", "--s1", "0", "--p", "1,1",
         )
         assert code == 1
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(child_set, n):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(cli, "count_trees", broken)
+        before = digit_limit()
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            main(["count", "-S", "0,1,2", "-n", "5"])
+        assert "error:" not in capsys.readouterr().err
+        assert digit_limit() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "moments -S 0,1,2 -n 5 --s1 0 --s2 0",
+            "moments -S 0,1,2 -n 5 --s1 0 --max-p 2,1",
+            "normal-compare -S 0,1,2 -n 5 --s1 0 --s2 3",
+            "scaled -S 0,1,2 -n 5 --s1 0 --p 2,2",
+            "scaled -S 0,1,2 -n 1..5 --s1 0 --s2 7",
+            "numerator -S 0,1,2 -n 5 --s1 7",
+            "numerator -S 0,1,2 -n 1..5 --s1 0 --s2 3 --p 1,1",
+            "guess-rec -S 0,1,2 --stat numerator --s1 7",
+            "guess-rec -S 0,1,2 --stat numerator --s1 0 --p 1,1",
+            "guess-rec -S 0,1,2 --max-order 0",
+            "guess-rec -S 0,1,2 --max-degree -1",
+            "guess-rec -S 0,1,2 --margin -1",
+            "guess-rec -S 0,1,2 --terms 0",
+            "count -S 0,1,2 -n 5 --digits -1",
+            "sample -S 0,1,2 -n 5 --count 0",
+        ],
+    )
+    def test_usage_errors_are_found_before_any_handler_runs(self, capsys, monkeypatch, argv):
+        def handler(args, out):
+            pytest.fail(f"a handler ran for {argv}")
+
+        for command in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, command, handler)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
+
+    def test_same_statistic_twice_stays_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "numerator", lambda args, out: pytest.fail())
+        code, out, err = run(
+            capsys, "numerator", "-S", "0,1,2", "-n", "5", "--s1", "0", "--s2", "0",
+            "--p", "1,1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidQuery:")
 
 
 class TestGuessRec:
@@ -326,6 +388,13 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4", "--cap", "4")
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    def test_bad_cap_in_environment_is_a_usage_error_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEMOMENTS_ENUM_CAP", "abc")
+        code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
+        assert "TREEMOMENTS_ENUM_CAP" in err
 
     def test_default_cap_rejects_large_n(self, capsys):
         code, _, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "19")

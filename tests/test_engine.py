@@ -88,6 +88,17 @@ class TestNumerators:
         with pytest.raises(ValueError):
             NumeratorQuery(S012, 5, 0, 1, None, 2)
 
+    @pytest.mark.parametrize(
+        "s1, s2, max_p1, max_p2",
+        [(7, None, 1, 0), (0, 3, 1, 1), (0, None, -1, 0)],
+        ids=["s1-outside-S", "s2-outside-S", "negative-power"],
+    )
+    def test_grid_rejects_what_the_query_rejects(self, s1, s2, max_p1, max_p2):
+        with pytest.raises(ValueError):
+            NumeratorQuery(S012, 5, s1, max_p1, s2, max_p2)
+        with pytest.raises(ValueError):
+            numerator_grid(S012, 5, s1, s2, max_p1, max_p2)
+
 
 class TestIdentities:
     def test_vertex_and_edge_sums(self):
