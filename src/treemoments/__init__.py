@@ -10,6 +10,7 @@ exactly uniform random sampling.  All arithmetic is exact.
 """
 
 from .childset import ChildSet
+from .derived import count_range
 from .engine import (
     NumeratorQuery,
     NumeratorTable,
@@ -81,6 +82,7 @@ __all__ = [
     "NumeratorQuery",
     "NumeratorTable",
     "count_trees",
+    "count_range",
     "numerator_grid",
     "numerator_mixed",
     "numerator_sequence",

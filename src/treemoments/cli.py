@@ -26,6 +26,7 @@ from random import Random
 from typing import IO, Iterable
 
 from .childset import ChildSet
+from .derived import count_range
 from .engine import NumeratorQuery, count_trees, numerator_mixed, numerator_sequence
 from .errors import DomainError
 from .gaussref import normality_gap_report
@@ -150,28 +151,33 @@ class RowWriter:
 
 
 def _per_n(
-    args: argparse.Namespace, out: IO[str], columns: list[str], row, bare: str
+    args: argparse.Namespace, out: IO[str], columns: list[str], rows, bare: str
 ) -> None:
-    """A single n in text prints row(n)[bare] alone; otherwise one row per n."""
+    """A single n in text prints its row's [bare] alone; otherwise one row per n."""
     lo, hi = args.n
     if lo == hi and args.format == "text":
-        out.write(f"{row(lo)[bare]}\n")
+        out.write(f"{next(iter(rows))[bare]}\n")
         return
     writer = RowWriter(args.format, columns, out, buffered=lo == hi)
-    for n in range(lo, hi + 1):
-        writer.write(row(n))
+    for row in rows:
+        writer.write(row)
     writer.close()
 
 
 def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
-    def row(n: int) -> dict:
-        return {"n": n, "count": count_trees(args.child_set, n)}
-
-    _per_n(args, out, ["n", "count"], row, "count")
+    # one n stays on the power kernel; a range steps a derived recurrence
+    lo, hi = args.n
+    if lo == hi:
+        counts: Iterable[int] = [count_trees(args.child_set, lo)]
+    else:
+        counts = count_range(args.child_set, lo, hi)
+    rows = ({"n": n, "count": value} for n, value in zip(range(lo, hi + 1), counts))
+    _per_n(args, out, ["n", "count"], rows, "count")
 
 
 def _cmd_numerator(args: argparse.Namespace, out: IO[str]) -> None:
     query = args.query
+    lo, hi = args.n
     keys = ["s1", "p1"] if query.s2 is None else ["s1", "p1", "s2", "p2"]
 
     def row(n: int) -> dict:
@@ -179,7 +185,8 @@ def _cmd_numerator(args: argparse.Namespace, out: IO[str]) -> None:
         cells["numerator"] = numerator_mixed(replace(query, n=n))
         return cells
 
-    _per_n(args, out, ["n", *keys, "numerator"], row, "numerator")
+    columns = ["n", *keys, "numerator"]
+    _per_n(args, out, columns, map(row, range(lo, hi + 1)), "numerator")
 
 
 def _cmd_moments(args: argparse.Namespace, out: IO[str]) -> None:
@@ -201,13 +208,15 @@ def _cmd_moments(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_scaled(args: argparse.Namespace, out: IO[str]) -> None:
     p1, p2 = args.p
+    lo, hi = args.n
 
     def row(n: int) -> dict:
         value = scaled_moment(replace(args.query, n=n), p1, p2, args.digits)
         exact = None if value.exact is None else str(value.exact)
         return {"n": n, "p1": p1, "p2": p2, "alpha": value.text, "exact": exact}
 
-    _per_n(args, out, ["n", "p1", "p2", "alpha", "exact"], row, "alpha")
+    columns = ["n", "p1", "p2", "alpha", "exact"]
+    _per_n(args, out, columns, map(row, range(lo, hi + 1)), "alpha")
 
 
 def _cmd_normal_compare(args: argparse.Namespace, out: IO[str]) -> None:
@@ -229,7 +238,7 @@ def _cmd_normal_compare(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_guess_rec(args: argparse.Namespace, out: IO[str]) -> None:
     if args.stat == "count":
-        seq = [count_trees(args.child_set, n) for n in range(1, args.terms + 1)]
+        seq = list(count_range(args.child_set, 1, args.terms))
     else:
         q = args.query
         table = numerator_sequence(q.child_set, q.s1, q.s2, q.p1, q.p2, q.n)
@@ -386,7 +395,10 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("--s1", type=int, help="statistic for --stat numerator")
     sp.add_argument("--s2", type=int)
-    powers(sp, "1")
+    # no default, so that --stat count can reject an explicit --p
+    sp.add_argument(
+        "--p", type=_parse_powers, metavar="P1[,P2]", help="powers (default 1)"
+    )
     sp.add_argument(
         "--terms", type=_at_least(1), default=40, help="terms to fit (default 40)"
     )
@@ -398,7 +410,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("enumerate", help="list all trees as child-count codes")
     common(sp)
-    sp.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    sp.add_argument(
+        "--cap", type=_at_least(1), default=None, help="enumeration cap override"
+    )
 
     sp = sub.add_parser("sample", help="uniform random trees")
     common(sp)
@@ -416,9 +430,15 @@ def _check(parser: _Parser, args: argparse.Namespace) -> None:
     if args.command == "enumerate" and args.cap is None:
         text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUMERATION_CAP))
         try:
-            args.cap = int(text)
+            args.cap = _at_least(1)(text)
         except ValueError:
             parser.error(f"{ENUM_CAP_ENV}={text!r} is not an integer")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{ENUM_CAP_ENV}={text!r}: {exc}")
+    if getattr(args, "stat", None) == "count":
+        for option in ("s1", "s2", "p"):
+            if getattr(args, option) is not None:
+                parser.error(f"--stat count takes no --{option}")
     try:
         if args.command in ("moments", "normal-compare", "scaled"):
             bounds = args.p if args.command == "scaled" else args.max_p or ()
@@ -427,7 +447,7 @@ def _check(parser: _Parser, args: argparse.Namespace) -> None:
             if args.s1 is None:
                 parser.error("--stat numerator requires --s1")
             n = args.terms if args.command == "guess-rec" else lo
-            p1, p2 = args.p
+            p1, p2 = args.p or (1, 0)
             args.query = NumeratorQuery(args.child_set, n, args.s1, p1, args.s2, p2)
     except ValueError as exc:
         parser.error(str(exc))

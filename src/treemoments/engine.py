@@ -14,13 +14,18 @@ the marked series into a finite sum of plain powers of phi:
                 * [z^(n-1-k1*s1-k2*s2)] phi(z)^(n-k1-k2)
 
 with ff the falling factorial and coefficients at negative degree taken as
-zero.  Everything is exact integer arithmetic; the leading division by n is
-checked to be exact.
+zero.  numerator_grid computes one power phi^(n-k_hi) and each smaller k
+from the last by one multiplication by phi.  Everything is exact integer
+arithmetic; the leading division by n is checked to be exact.
+
+count_trees extracts one coefficient; for a range of n, derived.count_range
+steps a recurrence proved from u = x*phi(u) instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .childset import ChildSet
 from .errors import InvalidQuery
@@ -101,6 +106,24 @@ def numerator_mixed(query: NumeratorQuery) -> int:
     return grid[(query.p1, query.p2)]
 
 
+def _times_phi(coeffs: list[int], low: int, child_set: ChildSet):
+    """phi * P from P's coefficients at degrees low.. up to a fixed top.
+
+    Returns the product's coefficients at the degrees they determine, up to
+    the same top, and the lowest such degree.
+    """
+    reach = child_set.max_count
+    if low == 0:
+        coeffs = [0] * reach + coeffs  # P has no terms below degree 0
+    else:
+        low += reach
+    top = len(coeffs)
+    product = coeffs[reach:]  # the s = 0 term
+    for s in child_set.elements[1:]:
+        product = list(map(add, product, coeffs[reach - s : top - s]))
+    return product, low
+
+
 def numerator_grid(
     child_set: ChildSet,
     n: int,
@@ -111,9 +134,9 @@ def numerator_grid(
 ) -> dict[tuple[int, int], int]:
     """All N_{a,b}(n) for a <= max_p1, b <= max_p2, sharing phi-power work.
 
-    The powers phi^(n-k) for k = 0..max_p1+max_p2 are each computed once;
-    every grid cell is then a short Stirling-weighted sum of their
-    coefficients.
+    One power phi^(n-k_hi), k_hi = max_p1+max_p2, is computed; each smaller
+    k multiplies the previous power by phi, |S| additions per coefficient.
+    Every grid cell is then a short Stirling-weighted sum of coefficients.
     """
     check_query(child_set, n, s1, max_p1, s2, max_p2)
     phi = child_set.offspring_polynomial()
@@ -121,12 +144,21 @@ def numerator_grid(
     k_hi = min(max_p1 + max_p2, n)
     # every degree read below is at least n - 1 - max_p1*s1 - max_p2*t2
     lo = max(0, n - 1 - max_p1 * s1 - max_p2 * t2)
-    powers = [poly_pow_coeffs(phi, n - k, n - 1, min_deg=lo) for k in range(k_hi + 1)]
+    # A product with phi is exact only from deg(phi) above the lowest degree
+    # held (or from 0), so phi^(n-k_hi) starts k_hi*deg(phi) lower.
+    low = max(0, lo - k_hi * child_set.max_count)
+    power = poly_pow_coeffs(phi, n - k_hi, n - 1, min_deg=low)
+    powers = [(power, low)]  # (coefficients from degree low, low) of phi^(n-k_hi+i)
+    for _ in range(k_hi):
+        power, low = _times_phi(power, low, child_set)
+        powers.append((power, low))
+    powers.reverse()
 
     def coeff_at(k: int, degree: int) -> int:
         if degree < 0 or degree > n - 1:
             return 0
-        return powers[k][degree - lo]
+        coeffs, low = powers[k]
+        return coeffs[degree - low]
 
     grid: dict[tuple[int, int], int] = {}
     for a in range(max_p1 + 1):

@@ -22,6 +22,8 @@ the subsystem has the same nullspace as the whole system, hence the same
 reduced row echelon form and the same basis, so the result is the one the
 all-rows solve would give.  If one fails (an unlucky prime), the whole
 system is solved.  A prime can cost time but never change the output.
+exact_nullspace is this solver; derived uses it to find ODEs that are
+proved rather than guessed.
 
 Sequence indexing: seq[i] is the term a_{start+i}; start defaults to 1.
 """
@@ -339,7 +341,7 @@ def _solves(vec: list[Fraction], rows) -> bool:
     return all(sum(a * b for a, b in zip(row, ints)) == 0 for row in rows)
 
 
-def _exact_nullspace(rows, cols: int) -> list[list[Fraction]]:
+def exact_nullspace(rows, cols: int) -> list[list[Fraction]]:
     """_nullspace of the integer rows, pruned modulo _MODULUS.
 
     Returns the same basis as solving every row; see the module docstring.
@@ -391,7 +393,7 @@ def guess_recurrence(
                 rows.append(row)
             if len(rows) < cols:
                 continue
-            for vec in _exact_nullspace(rows, cols):
+            for vec in exact_nullspace(rows, cols):
                 candidate = _candidate_from_vector(vec, order, degree)
                 if candidate is None:
                     continue

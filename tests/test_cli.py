@@ -286,6 +286,11 @@ class TestExitCodes:
             "guess-rec -S 0,1,2 --max-degree -1",
             "guess-rec -S 0,1,2 --margin -1",
             "guess-rec -S 0,1,2 --terms 0",
+            "guess-rec -S 0,1,2 --stat count --s1 7",
+            "guess-rec -S 0,1,2 --s2 0",
+            "guess-rec -S 0,1,2 --stat count --p 1",
+            "enumerate -S 0,1,2 -n 4 --cap -1",
+            "enumerate -S 0,1,2 -n 4 --cap 0",
             "count -S 0,1,2 -n 5 --digits -1",
             "sample -S 0,1,2 -n 5 --count 0",
         ],
@@ -363,6 +368,18 @@ class TestGuessRec:
         assert code == 1
         assert err.startswith("error: usage:")
 
+    @pytest.mark.parametrize("option", ["--s1", "--s2", "--p"])
+    def test_count_stat_names_the_option_it_rejects(self, capsys, option):
+        code, out, err = run(capsys, "guess-rec", "-S", "0,1,2", option, "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: usage: --stat count takes no {option}\n"
+
+    def test_numerator_stat_defaults_to_the_first_power(self, capsys):
+        argv = ["guess-rec", "-S", "0,1,2", "--stat", "numerator", "--s1", "0"]
+        _, default, _ = run(capsys, *argv)
+        _, explicit, _ = run(capsys, *argv, "--p", "1")
+        assert default == explicit != ""
+
 
 class TestEnumerate:
     def test_codes_match_library_enumeration(self, capsys):
@@ -395,6 +412,16 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert err.startswith("error: usage:")
         assert "TREEMOMENTS_ENUM_CAP" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cap_below_one_is_a_usage_error(self, capsys, monkeypatch, value):
+        code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4", "--cap", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage: argument --cap: must be at least 1")
+        monkeypatch.setenv("TREEMOMENTS_ENUM_CAP", value)
+        code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: usage: TREEMOMENTS_ENUM_CAP='{value}': must be at least 1")
 
     def test_default_cap_rejects_large_n(self, capsys):
         code, _, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "19")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treemoments import (
     ChildSet,
@@ -11,6 +13,7 @@ from treemoments import (
     numerator_mixed,
     numerator_sequence,
 )
+from treemoments.polyint import falling_factorial, poly_pow_coeffs, stirling2
 
 S012 = ChildSet((0, 1, 2))
 S02 = ChildSet((0, 2))
@@ -125,3 +128,50 @@ class TestIdentities:
             numerator_mixed(NumeratorQuery(S012, n, 0, 2)) for n in range(1, 13)
         ]
         assert table.value(5, 1) == numerator_mixed(NumeratorQuery(S012, 5, 0, 1))
+
+
+def per_k_binary_grid(child_set, n, s1, s2, max_p1, max_p2):
+    """The grid from one binary-exponentiation power phi^(n-k) per k."""
+    phi = child_set.offspring_polynomial()
+    t2 = 0 if s2 is None else s2
+    powers = [
+        poly_pow_coeffs(phi, n - k, n - 1, strategy="binary")
+        for k in range(min(max_p1 + max_p2, n) + 1)
+    ]
+    grid = {}
+    for a in range(max_p1 + 1):
+        for b in range(max_p2 + 1):
+            total = 0
+            for k1 in range(a + 1):
+                for k2 in range(b + 1):
+                    degree = n - 1 - k1 * s1 - k2 * t2
+                    if k1 + k2 <= n and degree >= 0:
+                        weight = stirling2(a, k1) * stirling2(b, k2)
+                        total += weight * falling_factorial(n, k1 + k2) * powers[k1 + k2][degree]
+            assert total % n == 0
+            grid[(a, b)] = total // n
+    return grid
+
+
+class TestOnePowerPerGrid:
+    @given(
+        support=st.sets(st.integers(min_value=1, max_value=6), max_size=4),
+        n=st.integers(min_value=1, max_value=70),
+        data=st.data(),
+    )
+    # windows that start above degree 0, where each product by phi loses reach
+    @example(support={1, 2}, n=60, data=None)
+    @example(support={2, 5}, n=70, data=None)
+    @settings(max_examples=80, deadline=None)
+    def test_grid_matches_per_k_binary_powers(self, support, n, data):
+        child_set = ChildSet({0} | support)
+        if data is None:
+            s1, s2, p1, p2 = 0, child_set.elements[1], 2, 2
+        else:
+            s1 = data.draw(st.sampled_from(child_set.elements))
+            others = [s for s in child_set.elements if s != s1]
+            s2 = data.draw(st.sampled_from([None, *others]))
+            p1 = data.draw(st.integers(min_value=0, max_value=4))
+            p2 = 0 if s2 is None else data.draw(st.integers(min_value=0, max_value=4))
+        expected = per_k_binary_grid(child_set, n, s1, s2, p1, p2)
+        assert numerator_grid(child_set, n, s1, s2, p1, p2) == expected
