@@ -11,13 +11,20 @@ polynomial in rho; this module keeps it exact and evaluates it at the
 empirical correlation of a tree statistic pair, so the difference between
 scaled tree moments and the normal reference can be reported without any
 floating point.
+
+normality_gap_report reads every cell from one MomentGrid, in integers.
+With p1 + p2 odd the reference is 0 and the gap is alpha; with both orders
+even both are rational.  With both odd, R_a = alpha * sqrt(var1 var2) and
+R_rho = rho * sqrt(var1 var2) are rational and the gap is the pure root
+(R_a - odd(rho^2) R_rho) / sqrt(var1 var2), odd(rho^2) = sum over odd k of
+c_k rho^(k-1).  GapRow.alpha, .reference and .gap are built on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegenerateVariance, InvalidCorrelation
 from .moments import (
@@ -146,12 +153,24 @@ class GapRow:
 
     p1: int
     p2: int
-    alpha: SqrtExpr
-    reference: SqrtExpr
-    gap: SqrtExpr
     alpha_text: str
     reference_text: str
     gap_text: str
+    scaled: ScaledMoment = field(repr=False, compare=False)
+    rho: ScaledMoment = field(repr=False, compare=False)
+
+    @property
+    def alpha(self) -> SqrtExpr:
+        return self.scaled.value
+
+    @cached_property
+    def reference(self) -> SqrtExpr:
+        poly = normal_mixed_moment_poly(self.p1, self.p2)
+        return poly.evaluate_at_sqrt(self.rho.square, self.rho.sign)
+
+    @cached_property
+    def gap(self) -> SqrtExpr:
+        return self.alpha - self.reference
 
 
 @dataclass(frozen=True)
@@ -186,24 +205,13 @@ def normality_gap_report(
             raise DegenerateVariance(
                 f"X_{s} has zero variance at n={spec.n}; no normal comparison possible"
             )
-    rho = _scaled_from_grid(spec, grid, 1, 1, digits)
+    rho = _scaled_from_grid(grid, 1, 1, digits)
     rows: list[GapRow] = []
     for p1 in range(max_p1 + 1):
         for p2 in range(max_p2 + 1):
-            alpha = _scaled_from_grid(spec, grid, p1, p2, digits)
+            alpha = _scaled_from_grid(grid, p1, p2, digits)
             poly = normal_mixed_moment_poly(p1, p2)
-            reference = poly.evaluate_at_sqrt(rho.square, rho.sign)
-            gap = alpha.value - reference
-            rows.append(
-                GapRow(
-                    p1,
-                    p2,
-                    alpha.value,
-                    reference,
-                    gap,
-                    alpha.text,
-                    reference.render(digits),
-                    gap.render(digits),
-                )
-            )
+            reference, gap = grid.normal_gap(alpha.cell, poly.coefficients)
+            texts = alpha.text, grid.render(reference, digits), grid.render(gap, digits)
+            rows.append(GapRow(p1, p2, *texts, alpha, rho))
     return GapReport(spec, digits, rho, rows)

@@ -1,28 +1,41 @@
 """Raw, central, and scaled mixed moments of child-count statistics.
 
 For a uniform tree on n vertices let X_s be the number of vertices with s
-children.  Raw moments are ratios of exact numerators, central moments come
-from the binomial expansion around the mean, and scaled moments divide by
-the appropriate powers of the standard deviations:
+children.  MomentGrid reads one numerator grid N[a,b] = N00 E[X1^a X2^b]
+(engine.numerator_grid) and derives the rest in integers.  With k = a+b:
 
-    alpha_{p1,p2} = m_{p1,p2} / (m_{2,0}^{p1/2} * m_{0,2}^{p2/2})
+    C[a,b] = sum_{r,t} C(a,r) C(b,t) (-N10)^r (-N01)^t N00^(k-r-t) N[a-r,b-t]
+    m_{a,b} = C[a,b] / N00^(k+1),  var1 = V1 / N00^3,  var2 = V2 / N00^3,
 
-Everything is exact: rationals throughout, with square roots deferred to
-rendering (see render.SqrtExpr).  The correlation is rho = alpha_{1,1}.
+with V1 = C[2,0] and V2 = C[0,2]; C comes from two one-dimensional
+binomial passes over all cells.  The scaled moment
+alpha_{a,b} = m_{a,b} / (var1^(a/2) var2^(b/2)) has
+alpha^2 = C^2 N00^(k-2) / (V1^a V2^b), so with a = 2a'+e1, b = 2b'+e2 it
+is C N00^(a'+b'-1) / (V1^a' V2^b') * sqrt(R) in the radicand class
+R = N00^(e1+e2) / (V1^e1 V2^e2).  R is a rational square exactly when
+(N00 V1)^e1 (N00 V2)^e2 is a perfect square, decided once per class: at
+most three wide isqrt calls per grid.  A cell then renders with one divmod
+or one isqrt of about 2*digits digits (render.format_cell).  A Fraction or
+SqrtExpr is built only for a printed raw or central cell, or on first
+access to ScaledMoment.square, .exact or .value.  rho = alpha_{1,1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, isqrt
 
 from .childset import ChildSet
 from .engine import check_query, numerator_grid
 from .errors import DegenerateVariance, NoTrees
-from .render import SqrtExpr
+from .render import SqrtExpr, format_cell
 
 DEFAULT_DIGITS = 30
+
+# (num, den, (e1, e2)): the value num/den * sqrt(R) in radicand class (e1, e2)
+Cell = tuple[int, int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -44,89 +57,151 @@ class MomentSpec:
         check_query(self.child_set, self.n, self.s1, self.max_p1, self.s2, self.max_p2)
 
 
-def _grid(spec: MomentSpec, max_p1: int, max_p2: int) -> dict[tuple[int, int], int]:
-    grid = numerator_grid(spec.child_set, spec.n, spec.s1, spec.s2, max_p1, max_p2)
-    if grid[(0, 0)] == 0:
-        raise NoTrees(
-            f"no trees on {spec.n} vertices for child set {spec.child_set}"
-        )
-    return grid
+def _central_numerators(grid: dict[tuple[int, int], int], max_p1: int, max_p2: int):
+    """C[a,b] for every cell: a binomial pass along b, then one along a."""
+    n00 = grid[(0, 0)]
+
+    def shift(rows: list[list[int]], mean: int) -> list[list[int]]:
+        # out[j] = sum_r C(j,r) (-mean)^r N00^(j-r) row[j-r], for each row
+        m = len(rows[0])
+        neg, base = [(-mean) ** r for r in range(m)], [n00**r for r in range(m)]
+        w = [[comb(j, r) * neg[r] * base[j - r] for r in range(j + 1)] for j in range(m)]
+        return [[sum(c * row[j - r] for r, c in enumerate(w[j])) for j in range(m)] for row in rows]
+
+    table = [[grid[(a, b)] for b in range(max_p2 + 1)] for a in range(max_p1 + 1)]
+    rows = shift(table, grid[(0, 1)] if max_p2 else 0)
+    cols = shift([list(col) for col in zip(*rows)], grid[(1, 0)] if max_p1 else 0)
+    return {(a, b): cols[b][a] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
+
+
+class MomentGrid:
+    """One numerator grid and everything derived from it, kept as integers."""
+
+    def __init__(self, spec: MomentSpec, max_p1: int, max_p2: int) -> None:
+        grid = numerator_grid(spec.child_set, spec.n, spec.s1, spec.s2, max_p1, max_p2)
+        if grid[(0, 0)] == 0:
+            raise NoTrees(f"no trees on {spec.n} vertices for child set {spec.child_set}")
+        self.spec, self.numerators, self.n00 = spec, grid, grid[(0, 0)]
+        # C[a,b], each computed once; V1 = N00^3 var1 and V2 = N00^3 var2
+        self.central_numerators = _central_numerators(grid, max_p1, max_p2)
+        self.v1 = self.central_numerators.get((2, 0))
+        self.v2 = self.central_numerators.get((0, 2))
+        self._classes: dict[tuple[int, int], tuple[int, int, int | None]] = {}
+
+    def raw(self, p1: int, p2: int) -> Fraction:
+        return Fraction(self.numerators[(p1, p2)], self.n00)
+
+    def central(self, p1: int, p2: int) -> Fraction:
+        return Fraction(self.central_numerators[(p1, p2)], self.n00 ** (p1 + p2 + 1))
+
+    def radicand(self, cls: tuple[int, int]) -> tuple[int, int, int | None]:
+        """(u, v, root): R = u/v, root = isqrt(u*v) if u*v is a square, else None."""
+        if cls not in self._classes:
+            e1, e2 = cls
+            u, v = self.n00 ** (e1 + e2), (self.v1 if e1 else 1) * (self.v2 if e2 else 1)
+            root = isqrt(u * v)
+            self._classes[cls] = u, v, (root if root * root == u * v else None)
+        return self._classes[cls]
+
+    def alpha(self, p1: int, p2: int) -> Cell:
+        """alpha_{p1,p2}; the variances it divides by must be positive."""
+        (a1, e1), (a2, e2) = divmod(p1, 2), divmod(p2, 2)
+        num = self.central_numerators[(p1, p2)]
+        den = (self.v1**a1 if a1 else 1) * (self.v2**a2 if a2 else 1)
+        if a1 + a2 == 0:
+            return num, den * self.n00, (e1, e2)
+        return num * self.n00 ** (a1 + a2 - 1), den, (e1, e2)
+
+    def normal_gap(self, alpha: Cell, coefficients: tuple[int, ...]) -> tuple[Cell, Cell]:
+        """Cells of the normal reference sum_k c_k rho^k and of alpha minus it.
+
+        A nonzero reference has p1 and p2 of one parity and only powers of
+        rho of that parity, so it shares alpha's class: rational when both
+        are even, a multiple of sqrt(R_{1,1}) when both are odd, with
+        rho = (C11/N00) sqrt(R_{1,1}) and rho^2 = C11^2/(V1 V2).
+        """
+        if not coefficients:
+            return (0, 1, (0, 0)), alpha
+        num, den, cls = alpha
+        odd = cls[1]
+        c11 = self.central_numerators[(1, 1)]
+        x, y = c11 * c11, self.v1 * self.v2  # rho^2 = x / y
+        terms = coefficients[odd::2]
+        total = sum(c * x**j * y ** (len(terms) - 1 - j) for j, c in enumerate(terms))
+        ref_den = y ** (len(terms) - 1) * (self.n00 if odd else 1)
+        ref_num = c11 * total if odd else total
+        return (ref_num, ref_den, cls), (num * ref_den - ref_num * den, den * ref_den, cls)
+
+    def rational(self, cell: Cell) -> tuple[int, int] | None:
+        """(num, den) of the cell's value if it is rational, else None."""
+        num, den, cls = cell
+        if num == 0:
+            return 0, 1
+        _, v, root = self.radicand(cls)
+        return None if root is None else (num * root, den * v)
+
+    def render(self, cell: Cell, digits: int) -> str:
+        ratio = self.rational(cell)
+        if ratio is None:
+            return format_cell(cell[0], cell[1], self.radicand(cell[2])[:2], digits)
+        return format_cell(*ratio, None, digits)
+
+    def scaled(self, p1: int, p2: int, digits: int) -> ScaledMoment:
+        spec = self.spec
+        if p1 > 0 and self.v1 <= 0:
+            raise DegenerateVariance(f"X_{spec.s1} has zero variance at n={spec.n}")
+        if p2 > 0 and self.v2 <= 0:
+            raise DegenerateVariance(f"X_{spec.s2} has zero variance at n={spec.n}")
+        cell = self.alpha(p1, p2)
+        sign = (cell[0] > 0) - (cell[0] < 0)
+        return ScaledMoment(p1, p2, sign, self.render(cell, digits), cell, self)
+
+
+# gaussref reads the grid through these names; perfbench/tracer.py wraps them there
+_grid = MomentGrid
+_central_from_grid = MomentGrid.central
+_scaled_from_grid = MomentGrid.scaled
 
 
 def raw_moment(spec: MomentSpec, p1: int, p2: int = 0) -> Fraction:
     """E[X_{s1}^p1 * X_{s2}^p2] as an exact rational."""
-    grid = _grid(spec, p1, p2)
-    return Fraction(grid[(p1, p2)], grid[(0, 0)])
-
-
-def _central_from_grid(
-    grid: dict[tuple[int, int], int], p1: int, p2: int
-) -> Fraction:
-    """Binomial expansion of E[(X1-mu1)^p1 (X2-mu2)^p2] over exact numerators.
-
-    Multiplying through by N00 keeps every term integral:
-        total = sum_{r,t} C(p1,r) C(p2,t) (-1)^(r+t)
-                N10^r N01^t N00^(p1+p2-r-t) N_{p1-r,p2-t}
-        m = total / N00^(p1+p2+1)
-    """
-    n00 = grid[(0, 0)]
-    n10 = grid[(1, 0)] if p1 > 0 else 0
-    n01 = grid[(0, 1)] if p2 > 0 else 0
-    total = 0
-    for r in range(p1 + 1):
-        for t in range(p2 + 1):
-            term = comb(p1, r) * comb(p2, t)
-            term *= n10**r * n01**t
-            term *= n00 ** (p1 + p2 - r - t)
-            term *= grid[(p1 - r, p2 - t)]
-            if (r + t) % 2:
-                total -= term
-            else:
-                total += term
-    return Fraction(total, n00 ** (p1 + p2 + 1))
+    return MomentGrid(spec, p1, p2).raw(p1, p2)
 
 
 def central_moment(spec: MomentSpec, p1: int, p2: int = 0) -> Fraction:
     """E[(X_{s1}-mu1)^p1 (X_{s2}-mu2)^p2] as an exact rational."""
-    grid = _grid(spec, p1, p2)
-    return _central_from_grid(grid, p1, p2)
+    return MomentGrid(spec, p1, p2).central(p1, p2)
 
 
 @dataclass(frozen=True)
 class ScaledMoment:
-    """One scaled mixed moment: exact square plus sign, with a rendering."""
+    """One scaled mixed moment: sign and rendering; exact forms on first access."""
 
     p1: int
     p2: int
-    value: SqrtExpr
-    square: Fraction  # exact alpha^2
     sign: int  # sign of the central moment in the numerator
     text: str  # decimal rendering at the requested digits
+    cell: Cell = field(repr=False, compare=False)
+    grid: MomentGrid = field(repr=False, compare=False)
 
-    @property
+    @cached_property
+    def square(self) -> Fraction:
+        """Exact alpha^2."""
+        num, den, cls = self.cell
+        u, v, _ = self.grid.radicand(cls)
+        return Fraction(num * num * u, den * den * v)
+
+    @cached_property
     def exact(self) -> Fraction | None:
         """Exact rational value when no square root remains."""
-        return self.value.as_rational()
+        ratio = self.grid.rational(self.cell)
+        return None if ratio is None else Fraction(*ratio)
 
-
-def _scaled_from_grid(
-    spec: MomentSpec,
-    grid: dict[tuple[int, int], int],
-    p1: int,
-    p2: int,
-    digits: int,
-) -> ScaledMoment:
-    m = _central_from_grid(grid, p1, p2)
-    var1 = _central_from_grid(grid, 2, 0) if p1 > 0 else Fraction(1)
-    var2 = _central_from_grid(grid, 0, 2) if p2 > 0 else Fraction(1)
-    if p1 > 0 and var1 <= 0:
-        raise DegenerateVariance(f"X_{spec.s1} has zero variance at n={spec.n}")
-    if p2 > 0 and var2 <= 0:
-        raise DegenerateVariance(f"X_{spec.s2} has zero variance at n={spec.n}")
-    square = m * m / (var1**p1 * var2**p2)
-    sign = 1 if m > 0 else (-1 if m < 0 else 0)
-    value = SqrtExpr.from_sqrt(sign, square)
-    return ScaledMoment(p1, p2, value, square, sign, value.render(digits))
+    @cached_property
+    def value(self) -> SqrtExpr:
+        if self.exact is not None:
+            return SqrtExpr(self.exact, ())
+        return SqrtExpr(Fraction(0), ((Fraction(self.sign), self.square),))
 
 
 def scaled_moment(
@@ -135,8 +210,7 @@ def scaled_moment(
     """alpha_{p1,p2}; needs positive variance for each statistic with p > 0."""
     need_p1 = max(p1, 2 if p1 > 0 else 0)
     need_p2 = max(p2, 2 if p2 > 0 else 0)
-    grid = _grid(spec, need_p1, need_p2)
-    return _scaled_from_grid(spec, grid, p1, p2, digits)
+    return MomentGrid(spec, need_p1, need_p2).scaled(p1, p2, digits)
 
 
 def correlation(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> ScaledMoment:
@@ -160,24 +234,16 @@ class MomentReport:
 def moment_report(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> MomentReport:
     """Populate the full grid; scaled cells are omitted when variance is zero."""
     max_p1, max_p2 = spec.max_p1, spec.max_p2
-    need_p1 = max(max_p1, 2)
-    need_p2 = max(max_p2, 2 if spec.s2 is not None else 0)
-    grid = _grid(spec, need_p1, need_p2)
+    pair = spec.s2 is not None
+    grid = MomentGrid(spec, max(max_p1, 2), max(max_p2, 2 if pair else 0))
     cells = [(a, b) for a in range(max_p1 + 1) for b in range(max_p2 + 1)]
-    n00 = grid[(0, 0)]
-    raw = {cell: Fraction(grid[cell], n00) for cell in cells}
-    central = {cell: _central_from_grid(grid, *cell) for cell in cells}
-    var1 = _central_from_grid(grid, 2, 0)
-    var2 = _central_from_grid(grid, 0, 2) if spec.s2 is not None else Fraction(1)
-    degenerate = var1 == 0 or (spec.s2 is not None and var2 == 0)
-    scaled: dict[tuple[int, int], ScaledMoment] = {}
-    rho: ScaledMoment | None = None
-    for cell in cells:
-        a, b = cell
-        if (a > 0 and var1 == 0) or (b > 0 and var2 == 0):
-            continue  # marked unavailable rather than raising
-        scaled[cell] = _scaled_from_grid(spec, grid, a, b, digits)
-    if spec.s2 is not None and var1 > 0 and var2 > 0:
-        source = scaled.get((1, 1))
-        rho = source if source is not None else _scaled_from_grid(spec, grid, 1, 1, digits)
+    raw = {cell: grid.raw(*cell) for cell in cells}
+    central = {cell: grid.central(*cell) for cell in cells}
+    degenerate = grid.v1 == 0 or (pair and grid.v2 == 0)
+    # cells whose variance is zero are marked unavailable rather than raising
+    usable = [(a, b) for a, b in cells if (a == 0 or grid.v1 > 0) and (b == 0 or grid.v2 > 0)]
+    scaled = {cell: grid.scaled(*cell, digits) for cell in usable}
+    rho = None
+    if pair and not degenerate:
+        rho = scaled.get((1, 1)) or grid.scaled(1, 1, digits)
     return MomentReport(spec, digits, raw, central, scaled, rho, degenerate)

@@ -9,6 +9,13 @@ SqrtExpr represents such a value exactly; render() turns it into the
 exactly rounded (round-half-even) decimal with a fixed number of digits
 after the point.  With a root present the value is irrational, so no tie
 can occur.
+
+A value costs what its digits cost.  A rational n/m rounds with one divmod
+of n * 10^P by m.  A pure root (n/m) * sqrt(u/v) rounds to sign(n) *
+((isqrt(4 * 10^(2P) * n^2 * u // (m^2 * v)) + 1) // 2), exact because
+floor(sqrt(floor(z))) = floor(sqrt(z)); the isqrt operand has about 2P
+digits.  Only a sum q + r*sqrt(d) with q != 0, which no CLI cell is, takes
+the full-width routine in _round_scaled.
 """
 
 from __future__ import annotations
@@ -28,21 +35,41 @@ def _format_scaled(scaled: int, places: int) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+def _round_cell(num: int, den: int, radicand: tuple[int, int] | None, places: int) -> int:
+    """round(num/den * sqrt(u/v) * 10**places) as an int, ties to even.
+
+    den > 0; the radicand (u, v) holds positive integers and u/v is not a
+    rational square, or it is None for 1.  With a root the value y is
+    irrational: round(|y|) = (floor(2|y|) + 1) // 2 and floor(2|y|) =
+    isqrt(floor(4 y^2)).
+    """
+    if radicand is None:
+        quotient, rest = divmod(num * 10**places, den)
+        return quotient + (2 * rest > den or (2 * rest == den and quotient % 2 == 1))
+    u, v = radicand
+    magnitude = (isqrt(4 * 10 ** (2 * places) * num * num * u // (den * den * v)) + 1) // 2
+    return magnitude if num >= 0 else -magnitude
+
+
 def _round_scaled(rational: Fraction, terms, places: int) -> int:
     """round((rational + r*sqrt(d)) * 10**places) as an int, ties to even.
 
-    terms is () or ((r, d),) with d not a rational square.  Then the value
-    is irrational and the result is floor(y) for y = 10**places*value + 1/2.
-    Write y = (a*v + sign*sqrt(N))/(m*v) with a/m = 10**places*rational + 1/2,
-    u/v = (r*10**places)**2 * d and N = u*v*m^2; sqrt(N) is irrational, so
+    terms is () or ((r, d),) with d not a rational square.  A rational or a
+    pure root (rational == 0) rounds with _round_cell.  Otherwise the result
+    is floor(y) for y = 10**places*value + 1/2.  Write y = (a*v +
+    sign*sqrt(N))/(m*v) with a/m = 10**places*rational + 1/2, u/v =
+    (r*10**places)**2 * d and N = u*v*m^2; sqrt(N) is irrational, so
     s = isqrt(N) satisfies s < sqrt(N) < s + 1 and decides the floor.
     """
     if places < 0:
         raise ValueError("places must be nonnegative")
-    scale = 10**places
     if not terms:
-        return round(rational * scale)
+        return _round_cell(rational.numerator, rational.denominator, None, places)
     ((coeff, radicand),) = terms
+    if not rational:
+        root = radicand.numerator, radicand.denominator
+        return _round_cell(coeff.numerator, coeff.denominator, root, places)
+    scale = 10**places
     half = rational * scale + Fraction(1, 2)
     square = coeff * coeff * radicand * scale * scale
     a, m = half.numerator, half.denominator
@@ -56,6 +83,13 @@ def _round_scaled(rational: Fraction, terms, places: int) -> int:
 def format_fraction(value: Fraction, places: int) -> str:
     """Exactly rounded decimal string with `places` digits after the point."""
     return _format_scaled(_round_scaled(Fraction(value), (), places), places)
+
+
+def format_cell(num: int, den: int, radicand: tuple[int, int] | None, places: int) -> str:
+    """Exactly rounded decimal of num/den * sqrt(u/v); see _round_cell."""
+    if places < 0:
+        raise ValueError("places must be nonnegative")
+    return _format_scaled(_round_cell(num, den, radicand, places), places)
 
 
 def sqrt_scaled(radicand: Fraction, places: int) -> int:
