@@ -14,13 +14,14 @@ phi^d * Delta^(2K-1) gives the polynomial identity
     sum_kj c_kj * u^j * phi^(d-j) * Delta^(2K-1-e_k) * P_k = 0.
 
 Its coefficients in u form a homogeneous integer linear system in the c_kj,
-solved by recurrence.exact_nullspace for (K, d) pairs in order of increasing
-size.  The map u -> x is invertible at 0, so an identity in u is an
-identity of power series: the ODE is proved, not guessed (Comtet, "Calcul
-pratique des coefficients de Taylor d'une fonction algebrique", 1964;
-Bostan, Chyzak, Lecerf, Salvy & Schost, "Differential equations for
-algebraic functions", ISSAC 2007).  One exists with K <= max(S, 1), because
-u is algebraic of degree max(S) over Q(x); it need not be minimal.
+solved in integers by recurrence.exact_nullspace for (K, d) pairs in order
+of increasing size; the first nonzero solution is the ODE.  The map u -> x
+is invertible at 0, so an identity in u is an identity of power series:
+the ODE is proved, not guessed (Comtet, "Calcul pratique des coefficients
+de Taylor d'une fonction algebrique", 1964; Bostan, Chyzak, Lecerf, Salvy
+& Schost, "Differential equations for algebraic functions", ISSAC 2007).
+One exists with K <= max(S, 1), because u is algebraic of degree max(S)
+over Q(x); it need not be minimal.
 
 Reading off [x^m] of the ODE gives, for every integer m,
 
@@ -30,13 +31,13 @@ with f_i = 0 for i <= 0 and ff the falling factorial.  count_range steps
 this relation in integers, one checked exact division per term, and takes
 f_n from the power kernel (engine.count_trees) where its leading
 coefficient vanishes.  The search has a work budget of a tenth of what the
-per-n path would spend on the range; past it the range is computed per n.
+per-n path would spend on the range, charged before each solve at its
+measured cost (_search_cost); past it the range is computed per n.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from math import lcm
 from typing import Iterator
 
 from .childset import ChildSet
@@ -63,16 +64,17 @@ def _sub(a: Poly, b: Poly) -> Poly:
     return [x - y for x, y in zip(a, b)]
 
 
-def _search_cost(rows: int, cols: int) -> int:
-    """Work of one exact_nullspace call, in per-n coefficient steps.
+def _search_cost(cols: int) -> int:
+    """Work of one exact_nullspace call on cols columns, in per-n steps.
 
-    Fitted on a 2-core x86-64 VM under CPython 3.11: a per-n step (one
-    big-int multiply-add of the power kernel) takes 0.07-0.18 us, a row
-    operation modulo the prime about a fifth of the upper figure, and the
-    Fraction elimination that follows a nontrivial kernel about cols**4 / 4
-    steps in all (0.23 s at 50 columns).
+    Fitted on a 2-core x86-64 VM under CPython 3.11.  A per-n step (one
+    big-int multiply-add of the power kernel) took 0.13-0.15 us in count
+    ranges over 1..2000 at |S| = 3..6.  The echelon scan stops after about
+    cols rows, whose entries grow with every row kept, so a call took
+    about cols**5 / 5000 steps whatever the height: 3-18 ms at 50 columns,
+    70-490 ms at 88, with a kernel or without.
     """
-    return rows * cols * cols // 5 + cols**4 // 4
+    return cols**5 // 5000
 
 
 def count_ode(
@@ -98,7 +100,8 @@ def count_ode(
             if cols % (order + 1):
                 continue
             degree = cols // (order + 1) - 1
-            if budget is not None and spent + _search_cost(0, cols) > budget:
+            spent += _search_cost(cols)
+            if budget is not None and spent > budget:
                 return None
             while len(numerators) <= order:
                 k = len(numerators) - 1
@@ -119,17 +122,13 @@ def count_ode(
                     by_j.append(_mul(phi, by_j[-1]))
                 columns += ([0] * j + by_j[degree - j] for j in range(degree + 1))
             height = max(map(len, columns))
-            rows = [[c[i] if i < len(c) else 0 for c in columns] for i in range(height)]
-            spent += _search_cost(height, cols)
-            if budget is not None and spent > budget:
-                return None
+            rows = ([c[i] if i < len(c) else 0 for c in columns] for i in range(height))
             basis = exact_nullspace(rows, cols)
             if basis:
-                scale = lcm(*(v.denominator for v in basis[0]))
-                ints = [int(v * scale) for v in basis[0]]
                 width = degree + 1
                 ode = tuple(
-                    tuple(ints[k * width : (k + 1) * width]) for k in range(order + 1)
+                    tuple(basis[0][k * width : (k + 1) * width])
+                    for k in range(order + 1)
                 )
                 _ODES[child_set] = ode
                 return ode

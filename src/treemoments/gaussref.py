@@ -1,16 +1,17 @@
 """Exact mixed moments of a unit-variance bivariate normal pair.
 
 For jointly normal (X, Y) with E X = E Y = 0, Var X = Var Y = 1 and
-correlation rho, the mixed moment M(p1,p2) = E[X^p1 Y^p2] satisfies the
-Stein-identity recurrence
+correlation rho, the mixed moment M(p1,p2) = E[X^p1 Y^p2] is a polynomial
+in rho.  By Isserlis' theorem it sums over the pairings of p1 copies of X
+and p2 copies of Y, and a pairing with k mixed pairs contributes rho^k, so
 
-    M(p1,p2) = (p1-1) * M(p1-2,p2) + rho * p2 * M(p1-1,p2-1)
+    M(p1,p2) = sum over k = p1 (mod 2), k <= min(p1,p2) of
+               C(p1,k) * C(p2,k) * k! * (p1-k-1)!! * (p2-k-1)!! * rho^k
 
-with M(0,0) = 1 and M = 0 whenever an index is negative.  M(p1,p2) is a
-polynomial in rho; this module keeps it exact and evaluates it at the
-empirical correlation of a tree statistic pair, so the difference between
-scaled tree moments and the normal reference can be reported without any
-floating point.
+with (-1)!! = 1, and M = 0 when p1 + p2 is odd.  This module keeps it exact
+and evaluates it at the empirical correlation of a tree statistic pair, so
+the difference between scaled tree moments and the normal reference can be
+reported without any floating point.
 
 normality_gap_report reads every cell from one MomentGrid, in integers.
 With p1 + p2 odd the reference is 0 and the gap is alpha; with both orders
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import comb, factorial, prod
 
 from .errors import DegenerateVariance, InvalidCorrelation
 from .moments import (
@@ -38,25 +40,6 @@ from .moments import (
 from .render import SqrtExpr
 
 RhoPoly = tuple[int, ...]  # coefficient c_k at rho^k
-
-
-def _poly_add(a: RhoPoly, b: RhoPoly) -> RhoPoly:
-    size = max(len(a), len(b))
-    out = [0] * size
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_scale_shift(p: RhoPoly, factor: int, shift: int) -> RhoPoly:
-    """factor * rho^shift * p, trimmed."""
-    if factor == 0 or not p:
-        return ()
-    return (0,) * shift + tuple(factor * c for c in p)
 
 
 @dataclass(frozen=True)
@@ -93,25 +76,20 @@ class NormalMomentPoly:
         return not self.coefficients
 
 
-@lru_cache(maxsize=None)
-def _moment_poly(p1: int, p2: int) -> RhoPoly:
-    if p1 < 0 or p2 < 0:
-        return ()
-    if p1 == 0 and p2 == 0:
-        return (1,)
-    if p1 == 0:
-        # recurse on the first index only; use symmetry to swap
-        return _moment_poly(p2, p1)
-    first = _poly_scale_shift(_moment_poly(p1 - 2, p2), p1 - 1, 0)
-    second = _poly_scale_shift(_moment_poly(p1 - 1, p2 - 1), p2, 1)
-    return _poly_add(first, second)
-
-
 def normal_mixed_moment_poly(p1: int, p2: int) -> NormalMomentPoly:
     """M(p1,p2) as a polynomial in rho; identically zero when p1+p2 is odd."""
     if p1 < 0 or p2 < 0:
         raise ValueError("moment orders must be nonnegative")
-    return NormalMomentPoly(p1, p2, _moment_poly(p1, p2))
+    if (p1 + p2) % 2:
+        return NormalMomentPoly(p1, p2, ())
+    coefficients = [0] * (min(p1, p2) + 1)
+    for k in range(p1 % 2, min(p1, p2) + 1, 2):
+        # m!! is prod(range(m, 0, -2)), which is 1 for m = -1
+        coefficients[k] = (
+            comb(p1, k) * comb(p2, k) * factorial(k)
+            * prod(range(p1 - k - 1, 0, -2)) * prod(range(p2 - k - 1, 0, -2))
+        )
+    return NormalMomentPoly(p1, p2, tuple(coefficients))
 
 
 @dataclass(frozen=True)

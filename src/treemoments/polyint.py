@@ -7,12 +7,11 @@ fractions.Fraction, which keeps itself in lowest terms with a positive
 denominator.
 
 Everything operates on truncated power series: results carry coefficients
-up to a caller-supplied max_deg and drop higher terms.  normalize() strips
-trailing zeros when a plain polynomial (not a truncation) is wanted.
-poly_pow_coeffs also takes min_deg and then returns only the coefficients
-min_deg..max_deg.  Its recurrence strategy keeps just that window and the
-last deg(phi) coefficients, trimming in blocks, so a caller that needs the
-coefficients near max_deg holds O(max_deg) bits instead of O(max_deg**2).
+up to a caller-supplied max_deg and drop higher terms.  poly_pow_coeffs
+also takes min_deg and then returns only the coefficients min_deg..max_deg.
+Its recurrence strategy keeps just that window and the last deg(phi)
+coefficients, trimming in blocks, so a caller that needs the coefficients
+near max_deg holds O(max_deg) bits instead of O(max_deg**2).
 
 Also houses the small combinatorial number helpers (Stirling numbers of the
 second kind, falling factorials) used to expand powers of the marking
@@ -26,14 +25,6 @@ from functools import lru_cache
 from .errors import NonUnitConstantTerm
 
 Poly = list[int]
-
-
-def normalize(p: Poly) -> Poly:
-    """Strip trailing zero coefficients; the zero polynomial becomes []."""
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
 
 
 def exact_div(a: int, b: int) -> int:

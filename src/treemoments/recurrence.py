@@ -7,22 +7,21 @@ zero, with
 
 guess_recurrence finds the minimal such relation (smallest order, then
 smallest degree) fitting a finite stretch of terms, by solving the exact
-homogeneous linear system over rationals and insisting that a margin of
-held-out trailing terms also satisfies the result.  verify_recurrence and
-extend_sequence check and apply a relation exactly.
+homogeneous linear system and insisting that a margin of held-out trailing
+terms also satisfies the result.  verify_recurrence and extend_sequence
+check and apply a relation exactly.
 
-Each (order, degree) system has integer rows term * n**e.  Before any exact
-solve the rows are reduced modulo the prime 2**61 - 1 (Kauers, "The Guessing
-Handbook", 2009).  The rank over Q is at least the rank mod p, so full
-column rank mod p proves the system has no nonzero solution and it is
-skipped; most of a failed search ends there.  Otherwise the exact
-Gauss-Jordan runs only on the rows independent mod p, which are independent
-over Q, and every basis vector is checked against every row.  If all pass,
-the subsystem has the same nullspace as the whole system, hence the same
-reduced row echelon form and the same basis, so the result is the one the
-all-rows solve would give.  If one fails (an unlucky prime), the whole
-system is solved.  A prime can cost time but never change the output.
-exact_nullspace is this solver; derived uses it to find ODEs that are
+Each (order, degree) system has integer rows term * n**e.  exact_nullspace
+solves it in integers only, in two steps.  An echelon scan reduces each row
+against the rows kept so far with lead*row - factor*kept and divides out
+the content, and stops as soon as cols rows are kept: the system then has
+full column rank and no nonzero solution, which is where most of a failed
+search ends.  A fraction-free Gauss-Jordan on the kept rows, which span the
+row space, then gives one primitive vector per free column (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968).  The row space fixes the reduced row
+echelon form, so each vector is a positive multiple of the one an all-rows
+rational solve gives.  derived uses the same solver to find ODEs that are
 proved rather than guessed.
 
 Sequence indexing: seq[i] is the term a_{start+i}; start defaults to 1.
@@ -37,9 +36,6 @@ from math import comb, gcd, lcm
 from .errors import InsufficientData, LeadingCoefficientZero
 
 DEFAULT_MARGIN = 8
-
-# The prime guess_recurrence prunes with; any prime gives the same output.
-_MODULUS = 2**61 - 1
 
 IntPoly = tuple[int, ...]  # coefficient at index e multiplies n**e
 
@@ -259,100 +255,90 @@ def extend_sequence(
     return ExtendedSequence(start, terms, non_integral)
 
 
-def _nullspace(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of the matrix, via exact Gauss-Jordan."""
-    matrix = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(rank, len(matrix)):
-            if matrix[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [c * inv for c in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][col] != 0:
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -matrix[i][free]
-        basis.append(vec)
-    return basis
-
-
-def _clear_denominators(vec: list[Fraction]) -> list[int]:
-    scale = lcm(*(v.denominator for v in vec)) if vec else 1
-    return [int(v * scale) for v in vec]
-
-
-def _candidate_from_vector(vec, order: int, degree: int) -> Recurrence | None:
-    """Clear denominators and build a normalized Recurrence, if nondegenerate."""
-    ints = _clear_denominators(vec)
+def _candidate_from_vector(
+    vec: list[int], order: int, degree: int
+) -> Recurrence | None:
+    """The normalized Recurrence of a kernel vector, if its q_order is nonzero."""
     width = degree + 1
-    polys = [tuple(ints[j * width : (j + 1) * width]) for j in range(order + 1)]
+    polys = [tuple(vec[j * width : (j + 1) * width]) for j in range(order + 1)]
     if all(c == 0 for c in polys[-1]):
         return None  # really a lower-order relation; found earlier if genuine
-    if all(all(c == 0 for c in q) for q in polys):
-        return None
     return Recurrence(tuple(polys)).normalized()
 
 
-def _independent_rows_mod(rows, cols: int) -> list[int] | None:
-    """Indices of rows independent modulo _MODULUS, or None at full column rank.
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries, which are not all zero."""
+    content = gcd(*row)
+    return row if content == 1 else [c // content for c in row]
 
-    Rows are reduced one at a time against the echelon basis built so far;
-    the scan stops as soon as the rank reaches cols.
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """lead*row - factor*pivot_row, zero at col; lead and factor share no factor."""
+    lead, factor = pivot_row[col], row[col]
+    common = gcd(lead, factor)
+    lead, factor = lead // common, factor // common
+    return [lead * a - factor * b for a, b in zip(row, pivot_row)]
+
+
+def _echelon(rows, cols: int) -> list[tuple[int, list[int]]] | None:
+    """(pivot column, primitive row) for a maximal independent set of rows.
+
+    Each row is reduced against the rows kept so far; a nonzero remainder is
+    kept with its first nonzero column as pivot.  None means cols rows were
+    kept: the system has full column rank and only the zero solution.
     """
-    modulus = _MODULUS
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with pivot 1)
-    kept: list[int] = []
-    for index, row in enumerate(rows):
-        vec = [c % modulus for c in row]
-        for col, pivot_row in basis:
-            factor = vec[col]
-            if factor:
-                vec = [(a - factor * b) % modulus for a, b in zip(vec, pivot_row)]
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        vec = list(row)
+        for col, pivot_row in kept:
+            if vec[col]:
+                vec = _eliminate(vec, pivot_row, col)
         col = next((c for c, v in enumerate(vec) if v), None)
         if col is None:
             continue
-        inv = pow(vec[col], -1, modulus)
-        basis.append((col, [v * inv % modulus for v in vec]))
-        kept.append(index)
+        kept.append((col, _primitive(vec)))
         if len(kept) == cols:
             return None
     return kept
 
 
-def _solves(vec: list[Fraction], rows) -> bool:
-    """Whether the rational vector is in the nullspace of every integer row."""
-    ints = _clear_denominators(vec)
-    return all(sum(a * b for a, b in zip(row, ints)) == 0 for row in rows)
+def _kernel(kept: list[tuple[int, list[int]]], cols: int) -> list[list[int]]:
+    """Nullspace basis of the echelon rows, by fraction-free Gauss-Jordan.
 
-
-def exact_nullspace(rows, cols: int) -> list[list[Fraction]]:
-    """_nullspace of the integer rows, pruned modulo _MODULUS.
-
-    Returns the same basis as solving every row; see the module docstring.
+    One vector per free column, in ascending order: the reduced row echelon
+    form's basis vector scaled to a primitive integer vector that is
+    positive at its free column.
     """
-    kept = _independent_rows_mod(rows, cols)
-    if kept is None:
-        return []
-    basis = _nullspace([[Fraction(c) for c in rows[i]] for i in kept], cols)
-    if all(_solves(vec, rows) for vec in basis):
-        return basis
-    return _nullspace([[Fraction(c) for c in row] for row in rows], cols)
+    kept = sorted(kept)
+    pivots = [col for col, _ in kept]
+    rows = [row for _, row in kept]
+    # Row i is zero left of its pivot, so it is eliminated only from rows above.
+    for i in reversed(range(len(rows))):
+        for k in range(i):
+            if rows[k][pivots[i]]:
+                rows[k] = _primitive(_eliminate(rows[k], rows[i], pivots[i]))
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        # lcm is positive and exact for pivots of either sign
+        scale = lcm(*(row[col] for col, row in zip(pivots, rows) if row[free]))
+        vec = [0] * cols
+        vec[free] = scale
+        for col, row in zip(pivots, rows):
+            vec[col] = -row[free] * (scale // row[col])
+        basis.append(_primitive(vec))
+    return basis
+
+
+def exact_nullspace(rows, cols: int) -> list[list[int]]:
+    """Integer basis of the rational nullspace of the integer rows.
+
+    rows is any iterable of integer rows of length cols, read once and only
+    as far as the echelon scan needs.  Vector i is the reduced row echelon
+    form's basis vector for the i-th free column, scaled to be primitive
+    and positive at that column.
+    """
+    kept = _echelon(rows, cols)
+    return [] if kept is None else _kernel(kept, cols)
 
 
 def guess_recurrence(
@@ -383,16 +369,17 @@ def guess_recurrence(
         for degree in range(max_degree + 1):
             width = degree + 1
             cols = (order + 1) * width
-            rows = []
-            for i in range(fit_len - order):
-                n = start + i
-                row = []
-                for j in range(order + 1):
-                    term = seq[i + j]
-                    row.extend(term * n**e for e in range(width))
-                rows.append(row)
-            if len(rows) < cols:
+            if fit_len - order < cols:
                 continue
+            # built lazily: a full-rank system ends the scan after about cols rows
+            rows = (
+                [
+                    seq[i + j] * (start + i) ** e
+                    for j in range(order + 1)
+                    for e in range(width)
+                ]
+                for i in range(fit_len - order)
+            )
             for vec in exact_nullspace(rows, cols):
                 candidate = _candidate_from_vector(vec, order, degree)
                 if candidate is None:

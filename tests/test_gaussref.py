@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
@@ -48,7 +49,32 @@ def isserlis_poly(p1, p2):
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def stein_poly(p1, p2):
+    """M(p1,p2) by the Stein-identity recurrence, trimmed.
+
+    M(p1,p2) = (p1-1) * M(p1-2,p2) + rho * p2 * M(p1-1,p2-1), with M(0,0) = 1,
+    M = 0 at a negative index, and M(0,p2) = M(p2,0) by symmetry.
+    """
+    if p1 < 0 or p2 < 0:
+        return ()
+    if p1 == 0:
+        return (1,) if p2 == 0 else stein_poly(p2, 0)
+    first = [(p1 - 1) * c for c in stein_poly(p1 - 2, p2)]
+    second = [0] + [p2 * c for c in stein_poly(p1 - 1, p2 - 1)]
+    size = max(len(first), len(second))
+    out = [a + b for a, b in zip(first + [0] * size, second + [0] * size)][:size]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 class TestMomentPolynomials:
+    @pytest.mark.parametrize("p1", range(13))
+    @pytest.mark.parametrize("p2", range(13))
+    def test_closed_form_matches_stein_recursion(self, p1, p2):
+        assert normal_mixed_moment_poly(p1, p2).coefficients == stein_poly(p1, p2)
+
     def test_spot_values(self):
         assert normal_mixed_moment_poly(2, 0).coefficients == (1,)
         assert normal_mixed_moment_poly(4, 0).coefficients == (3,)

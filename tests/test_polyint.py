@@ -8,7 +8,6 @@ from treemoments.errors import NonUnitConstantTerm
 from treemoments.polyint import (
     exact_div,
     falling_factorial,
-    normalize,
     poly_mul_trunc,
     poly_pow_coeffs,
     stirling2,
@@ -23,10 +22,6 @@ def naive_pow(phi, m, max_deg):
 
 
 class TestBasics:
-    def test_normalize_strips_trailing_zeros(self):
-        assert normalize([1, 2, 0, 0]) == [1, 2]
-        assert normalize([0, 0]) == []
-
     def test_exact_div(self):
         assert exact_div(12, 4) == 3
         assert exact_div(-12, 4) == -3
