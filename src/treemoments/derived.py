@@ -28,9 +28,10 @@ Reading off [x^m] of the ODE gives, for every integer m,
     sum_kj c_kj * ff(m - j + k, k) * f_(m - j + k) = 0,
 
 with f_i = 0 for i <= 0 and ff the falling factorial.  count_range steps
-this relation in integers, one checked exact division per term, and takes
-f_n from the power kernel (engine.count_trees) where its leading
-coefficient vanishes.  The search has a work budget of a tenth of what the
+this relation straight from the c_kj: at each n it sums one small integer
+weight per shift t = k - j, divides once with a check that the division is
+exact, and takes f_n from engine.count_trees where the weight of the top
+shift vanishes.  The search has a work budget of a tenth of what the
 per-n path would spend on the range, charged before each solve at its
 measured cost (_search_cost); past it the range is computed per n.
 """
@@ -38,12 +39,13 @@ measured cost (_search_cost); past it the range is computed per n.
 from __future__ import annotations
 
 from itertools import count
+from operator import mul
 from typing import Iterator
 
 from .childset import ChildSet
 from .engine import count_trees
-from .polyint import poly_mul_trunc
-from .recurrence import exact_nullspace, polyval
+from .polyint import falling_factorial, poly_mul_trunc
+from .recurrence import exact_nullspace
 
 Poly = list[int]
 
@@ -134,28 +136,6 @@ def count_ode(
                 return ode
 
 
-def _relation(ode) -> tuple[int, list[tuple[int, Poly]], Poly]:
-    """The term relation of an ODE as (top, lower, lead).
-
-    Shift t = k - j collects sum c[k][j] * ff(m + t, k) as a polynomial in
-    m; `lead` multiplies f_(m+top) and `lower` lists (t, polynomial) for
-    the nonzero lower shifts.
-    """
-    by_shift: dict[int, Poly] = {}
-    for k, row in enumerate(ode):
-        for j, c in enumerate(row):
-            if c:
-                ff = [1]
-                for i in range(k):
-                    ff = _mul(ff, [k - j - i, 1])  # times (m + t - i)
-                poly = by_shift.setdefault(k - j, [0] * len(ode))
-                for e, v in enumerate(ff):
-                    poly[e] += c * v
-    shifts = sorted(t for t, poly in by_shift.items() if any(poly))
-    top = shifts.pop()
-    return top, [(t, by_shift[t]) for t in shifts], by_shift[top]
-
-
 def count_range(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
     """f_lo, ..., f_hi, each yielded as soon as it is known.
 
@@ -171,17 +151,20 @@ def count_range(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
         for n in range(lo, hi + 1):
             yield count_trees(child_set, n)
         return
-    top, lower, lead = _relation(ode)
-    low = lower[0][0] if lower else top
+    # ff(i, k) has degree k in i, so no shift of a nonzero c[k][j] has a
+    # weight that vanishes at every n: those shifts bound the relation
+    terms = [(k - j, k, c) for k, row in enumerate(ode) for j, c in enumerate(row) if c]
+    low, top = min(terms)[0], max(terms)[0]
     window = [0] * (top - low)  # f_(n-top+low) .. f_(n-1); f_i = 0 for i <= 0
     for n in range(1, hi + 1):
-        m = n - top
-        denominator = polyval(lead, m)
-        if denominator == 0:
+        weights = [0] * (top - low + 1)  # weights[t - low] multiplies f_(n-top+t)
+        for t, k, c in terms:
+            weights[t - low] += c * falling_factorial(n - top + t, k)
+        lead = weights.pop()
+        if lead == 0:
             value = count_trees(child_set, n)
         else:
-            acc = sum(polyval(poly, m) * window[t - low] for t, poly in lower)
-            value, rest = divmod(-acc, denominator)
+            value, rest = divmod(-sum(map(mul, weights, window)), lead)
             if rest:
                 raise ArithmeticError(f"derived recurrence step at n={n} is not exact")
         if window:

@@ -18,8 +18,9 @@ zero.  numerator_grid computes one power phi^(n-k_hi) and each smaller k
 from the last by one multiplication by phi.  Everything is exact integer
 arithmetic; the leading division by n is checked to be exact.
 
-count_trees extracts one coefficient; for a range of n, derived.count_range
-steps a recurrence proved from u = x*phi(u) instead.
+The count f_n is the cell N_{0,0}(n), so count_trees reads it from a
+one-cell grid; for a range of n, derived.count_range steps a recurrence
+proved from u = x*phi(u) instead.
 """
 
 from __future__ import annotations
@@ -91,11 +92,7 @@ class NumeratorTable:
 
 def count_trees(child_set: ChildSet, n: int) -> int:
     """Number of trees on n vertices with all child counts in child_set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    phi = child_set.offspring_polynomial()
-    coeff = poly_pow_coeffs(phi, n, n - 1, min_deg=n - 1)[0]
-    return exact_div(coeff, n)
+    return numerator_grid(child_set, n, 0, None, 0, 0)[(0, 0)]
 
 
 def numerator_mixed(query: NumeratorQuery) -> int:

@@ -60,28 +60,36 @@ def enumerate_trees(
         raise EnumerationTooLarge(f"n={n} exceeds enumeration cap {cap}")
     elements = child_set.elements
     nonzero_gcd = math.gcd(*elements[1:]) if len(elements) > 1 else 0
-    prefix = [0] * n
-
-    def extend(pos: int, open_slots: int) -> Iterator[TreeCode]:
-        remaining = n - pos
-        for c in elements:
-            new_open = open_slots + c - 1
-            if remaining == 1:
-                if new_open == 0:
-                    prefix[pos] = c
-                    yield tuple(prefix)
-                continue
-            # need >= 1 vertex per open slot, and the leftover child-count
-            # total (remaining-1) - new_open must be a sum of elements of S
-            surplus = (remaining - 1) - new_open
-            if new_open < 1 or surplus < 0:
-                continue
-            if surplus and (nonzero_gcd == 0 or surplus % nonzero_gcd):
-                continue
-            prefix[pos] = c
-            yield from extend(pos + 1, new_open)
-
-    yield from extend(0, 1)
+    width = len(elements)
+    last = n - 1
+    prefix = [0] * n  # the last vertex of a code is always a leaf
+    open_slots = [1] * n  # open slots before each position of the prefix
+    tried = [0] * n  # per position, how many elements have been tried there
+    pos = 0
+    while pos >= 0:
+        if pos == last:
+            # the checks below leave exactly one open slot here, closed by a 0
+            yield tuple(prefix)
+            pos -= 1
+            continue
+        i = tried[pos]
+        if i == width:
+            tried[pos] = 0
+            pos -= 1  # every choice here is done: back up one position
+            continue
+        tried[pos] = i + 1
+        c = elements[i]
+        new_open = open_slots[pos] + c - 1
+        # need >= 1 vertex per open slot, and the leftover child-count
+        # total (n-pos-1) - new_open must be a sum of elements of S
+        surplus = last - pos - new_open
+        if new_open < 1 or surplus < 0:
+            continue
+        if surplus and (nonzero_gcd == 0 or surplus % nonzero_gcd):
+            continue
+        prefix[pos] = c
+        pos += 1
+        open_slots[pos] = new_open
 
 
 @lru_cache(maxsize=None)
@@ -423,35 +431,26 @@ class _RecursiveMethod:
         """Exact probability that sample() emits this valid code on n vertices."""
         f = self.tree_counts
         conv = self._conv
-
-        def subtree_size(pos: int) -> int:
-            size = 1
-            cursor = pos + 1
-            for _ in range(code[pos]):
-                child = subtree_size(cursor)
-                cursor += child
-                size += child
-            return size
-
+        # every subtree size from one reverse pass: the sizes of a vertex's
+        # subtrees are the last code[pos] pushed, its first subtree on top
+        sizes = [0] * self.n
+        stack: list[int] = []
+        for pos in range(self.n - 1, -1, -1):
+            sizes[pos] = 1 + sum(stack.pop() for _ in range(code[pos]))
+            stack.append(sizes[pos])
         prob = Fraction(1)
-        stack = [(0, self.n)]
-        while stack:
-            pos, m = stack.pop()
-            i = code[pos]
+        for pos, i in enumerate(code):
+            m = sizes[pos]
             if m == 1:
                 continue
             prob *= Fraction(conv[i][m - 1], f[m])
             cursor = pos + 1
             total = m - 1
-            parts = i
-            for child_index in range(i):
-                size = subtree_size(cursor)
-                if parts >= 2:
-                    prob *= Fraction(f[size] * conv[parts - 1][total - size], conv[parts][total])
-                stack.append((cursor, size))
+            for parts in range(i, 1, -1):  # the last subtree's size is forced
+                size = sizes[cursor]
+                prob *= Fraction(f[size] * conv[parts - 1][total - size], conv[parts][total])
                 cursor += size
                 total -= size
-                parts -= 1
         return prob
 
 
@@ -501,10 +500,6 @@ class MonteCarloEstimate:
     mean: Fraction
     variance: Fraction  # unbiased sample variance
     samples: int
-
-    @property
-    def std_error(self) -> float:
-        return float(self.variance / self.samples) ** 0.5
 
     def within_std_errors(self, target: Fraction, k: int) -> bool:
         """Exact check |mean - target| <= k * SE (squared comparison)."""

@@ -423,6 +423,11 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: usage: TREEMOMENTS_ENUM_CAP='{value}': must be at least 1")
 
+    def test_a_deep_tree_prints_without_recursion(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "-S", "0,1", "-n", "1500", "--cap", "2000")
+        assert code == 0
+        assert out == "1 " * 1499 + "0\n"
+
     def test_default_cap_rejects_large_n(self, capsys):
         code, _, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "19")
         assert code == 2

@@ -9,6 +9,8 @@ from treemoments.cli import RowWriter, main
 DERIVED_SETS = [
     ChildSet(s)
     for s in [(0, 2), (0, 3), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 1, 5), (0, 1, 2, 3, 4)]
+    # {0}: every term of the relation has one shift, so the window is empty
+    + [(0,), (0, 1)]
 ]
 S012 = ChildSet((0, 1, 2))
 

@@ -86,6 +86,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_trees(S012, 0))
 
+    def test_deep_codes_need_no_recursion(self):
+        # S={0,1} has one tree, a path: one position per vertex on the walk
+        assert list(enumerate_trees(ChildSet((0, 1)), 2000, cap=2000)) == [(1,) * 1999 + (0,)]
+        assert next(enumerate_trees(S012, 2000, cap=2000)) == (1,) * 1999 + (0,)
+
 
 class TestOracleNumerator:
     def test_hand_counted_values(self):
@@ -193,6 +198,18 @@ class TestSampler:
                     total += prob
                 assert total == 1
 
+    def test_recursive_method_gives_a_deep_path_exactly_one_over_f_n(self):
+        child_set = ChildSet((0, 1, 2, 3, 4))  # |S| = 5: the recursive method
+        n = 1100
+        sampler = TreeSampler(child_set, n)
+        assert not hasattr(sampler._method, "total")
+        fn = count_trees(child_set, n)
+        path = (1,) * (n - 1) + (0,)
+        assert sampler.decision_probability(path) == Fraction(1, fn)
+        rng = Random(4)
+        for _ in range(3):
+            assert sampler.decision_probability(sampler.sample(rng)) == Fraction(1, fn)
+
     def test_count_vectors_match_enumeration(self):
         extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
         for child_set in FAMILY + extra:
@@ -222,7 +239,6 @@ class TestMonteCarlo:
         est = monte_carlo_moment(S012, 1, 0, 1, samples=50, rng_seed=3)
         assert est.mean == 1
         assert est.variance == 0
-        assert est.std_error == 0.0
 
     def test_deterministic_given_seed(self):
         a = monte_carlo_moment(S012, 10, 0, 1, samples=500, rng_seed=11)
