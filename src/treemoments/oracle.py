@@ -112,6 +112,22 @@ def child_count_distribution(
     return _count_distribution(child_set, n)
 
 
+def _check_statistics(
+    child_set: ChildSet, s1: int, p1: int, s2: int | None, p2: int
+) -> None:
+    """The statistic and power rules of engine.check_query, with its messages,
+    restated here so that the oracle never imports the engine."""
+    if p1 < 0 or p2 < 0:
+        raise ValueError("powers must be nonnegative")
+    if s1 not in child_set:
+        raise ValueError(f"s1={s1} not in child set {child_set}")
+    if s2 is None:
+        if p2 != 0:
+            raise ValueError("p2 must be 0 when s2 is absent")
+    elif s2 not in child_set:
+        raise ValueError(f"s2={s2} not in child set {child_set}")
+
+
 def oracle_numerator(
     child_set: ChildSet,
     n: int,
@@ -122,6 +138,7 @@ def oracle_numerator(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Direct summation of X_{s1}^p1 * X_{s2}^p2 over all enumerated trees."""
+    _check_statistics(child_set, s1, p1, s2, p2)
     dist = child_count_distribution(child_set, n, cap)
     i1 = child_set.index(s1)
     i2 = None if s2 is None else child_set.index(s2)
@@ -209,7 +226,7 @@ def joint_gf_fixpoint(
 # The cycle lemma's table has O(n^(|S|-2)) rows: linear or quadratic in n up
 # to this size.  Above it the recursive method is cheaper: at S={0,1,2,3,4},
 # n=300 the table has 195 075 rows and a build plus 100 draws takes 0.25 s
-# and 54 MB peak, against 0.04 s and 27 MB for the recursive method.
+# and 55 MB peak, against 0.04 s and 17 MB for the recursive method.
 CYCLE_LEMMA_MAX_SET = 4
 
 
@@ -330,18 +347,25 @@ class _RecursiveMethod:
     i children)/f_n, then split the n-1 remaining vertices among the i
     subtrees left to right, each split weighted by exact subtree-count
     products (Flajolet, Zimmermann & Van Cutsem 1994).
+
+    The only table is conv[i][t], the number of forests of i trees on t
+    vertices: O(n^2) bits per row.  Each choice subtracts its candidates'
+    weights, read from conv, from one randrange draw until the draw goes
+    negative, so a draw builds nothing and memory does not grow with draws.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
         self.n = n
+        self.elements = child_set.elements
         max_c = child_set.max_count
-        # conv[i][t] = number of forests of i ordered trees with t vertices
+        # conv[i][t] = number of forests of i ordered trees with t vertices;
+        # a forest of one tree is a tree, so conv[1] is the tree counts f
         conv = [[0] * (n + 1) for _ in range(max_c + 1)]
         conv[0][0] = 1
-        f = [0] * (n + 1)
+        f = conv[1]
         for m in range(1, n + 1):
-            f[m] = sum(conv[i][m - 1] for i in child_set.elements)
-            for i in range(1, max_c + 1):
+            f[m] = sum(conv[i][m - 1] for i in self.elements)
+            for i in range(2, max_c + 1):
                 acc = 0
                 prev = conv[i - 1]
                 for a in range(1, m + 1):
@@ -352,51 +376,12 @@ class _RecursiveMethod:
             raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
         self.tree_counts = f
         self._conv = conv
-        # per subtree size m: cumulative root-choice weights over i in S
-        self._root_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * (
-            n + 1
-        )
-        for m in range(1, n + 1):
-            if f[m] == 0:
-                continue
-            choices = []
-            cums = []
-            acc = 0
-            for i in child_set.elements:
-                w = conv[i][m - 1]
-                if w:
-                    acc += w
-                    choices.append(i)
-                    cums.append(acc)
-            self._root_rows[m] = (tuple(choices), tuple(cums))
-        self._split_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def _split_table(self, parts: int, total: int):
-        """Sizes and cumulative weights for the first of `parts` subtrees."""
-        key = (parts, total)
-        table = self._split_tables.get(key)
-        if table is None:
-            f = self.tree_counts
-            rest = self._conv[parts - 1]
-            sizes = []
-            cums = []
-            acc = 0
-            for a in range(1, total - parts + 2):
-                w = f[a] * rest[total - a]
-                if w:
-                    acc += w
-                    sizes.append(a)
-                    cums.append(acc)
-            table = (tuple(sizes), tuple(cums))
-            self._split_tables[key] = table
-        return table
 
     def sample(self, rng: Random) -> TreeCode:
         """One uniform tree; consumes a deterministic number of rng draws."""
-        f = self.tree_counts
-        root_rows = self._root_rows
-        split_table = self._split_table
         conv = self._conv
+        f = conv[1]
+        elements = self.elements
         randrange = rng.randrange
         code: list[int] = []
         append = code.append
@@ -407,22 +392,22 @@ class _RecursiveMethod:
                 append(0)
                 continue
             draw = randrange(f[m])
-            choices, cums = root_rows[m]
-            i = choices[bisect_right(cums, draw)]
+            for i in elements:
+                draw -= conv[i][m - 1]
+                if draw < 0:
+                    break
             append(i)
-            if i == 1:
-                stack.append(m - 1)
-                continue
             total = m - 1
-            parts = i
             part_sizes = []
-            while parts >= 2:
-                sizes, cums2 = split_table(parts, total)
-                draw2 = randrange(conv[parts][total])
-                first = sizes[bisect_right(cums2, draw2)]
-                part_sizes.append(first)
-                total -= first
-                parts -= 1
+            for parts in range(i, 1, -1):  # the last subtree's size is forced
+                rest = conv[parts - 1]
+                draw = randrange(conv[parts][total])
+                a = 0
+                while draw >= 0:
+                    a += 1
+                    draw -= f[a] * rest[total - a]
+                part_sizes.append(a)
+                total -= a
             part_sizes.append(total)
             stack.extend(reversed(part_sizes))
         return tuple(code)
@@ -460,7 +445,8 @@ class TreeSampler:
     For |S| <= CYCLE_LEMMA_MAX_SET it uses the cycle lemma (Dvoretzky &
     Motzkin 1947; Devroye 2012): draw a child-count vector with weight
     multinomial(n; k), shuffle, and rotate to the one valid code.  For larger
-    S it uses the recursive method, whose tables then grow more slowly.  All
+    S it uses the recursive method, whose one table holds (max S + 1)(n + 1)
+    forest counts whatever |S| is.  All
     weights are exact integers, so there is no rejection and no floating
     point on either path.
     """
@@ -520,6 +506,7 @@ def monte_carlo_moment(
     """Estimate E[X_{s1}^p1 * X_{s2}^p2] from seeded uniform samples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_statistics(child_set, s1, p1, s2, p2)
     sampler = TreeSampler(child_set, n)
     rng = Random(rng_seed)
     total = 0

@@ -5,10 +5,15 @@ Numeric comparisons are exact (integers and fractions); the only tolerances
 are the ones stated inline, and timing bounds use wall-clock seconds.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 from treemoments import (
@@ -245,3 +250,29 @@ def test_desk_scale_performance():
     t0 = time.perf_counter()
     assert count_trees(S012, 5000) > 0
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_recursive_sampler_memory_does_not_grow_with_draws():
+    # perfbench/launch.py forks the CLI from a small process and reports
+    # that child's own ru_maxrss; a child forked from pytest would start at
+    # pytest's peak
+    root = Path(__file__).resolve().parents[1]
+    argv = "sample -S 0,1,2,3,4 -n 1000 --count 20".split()
+    report_read, report_write = os.pipe()
+    try:
+        subprocess.run(
+            (
+                sys.executable, "-I", "-S", str(root / "perfbench" / "launch.py"),
+                str(report_write), "60", sys.executable, "-m", "treemoments.cli", *argv,
+            ),
+            stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            pass_fds=(report_write,),
+            check=True,
+        )
+    finally:
+        os.close(report_write)
+    with os.fdopen(report_read) as fh:
+        report = json.load(fh)
+    assert report["code"] == 0
+    assert report["max_rss_kib"] / 1024 < 40.0

@@ -106,6 +106,30 @@ class TestOracleNumerator:
             assert sum(s * c for s, c in zip(S012.elements, counts)) == 5
 
 
+@pytest.mark.parametrize("estimate", [oracle_numerator, monte_carlo_moment])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, -1), "powers must be nonnegative"),
+        ((0, 1, 1, -1), "powers must be nonnegative"),
+        ((7, 1), r"s1=7 not in child set \{0,1,2\}"),
+        ((0, 1, 7, 1), r"s2=7 not in child set \{0,1,2\}"),
+        ((0, 1, None, 2), "p2 must be 0 when s2 is absent"),
+    ],
+    ids=["negative-p1", "negative-p2", "s1-outside", "s2-outside", "p2-without-s2"],
+)
+def test_oracles_reject_bad_statistics(estimate, args, message):
+    with pytest.raises(ValueError, match=message):
+        estimate(S012, 5, *args)
+
+
+def test_oracles_merge_powers_of_one_statistic():
+    assert oracle_numerator(S012, 6, 1, 1, 1, 2) == oracle_numerator(S012, 6, 1, 3)
+    pair = monte_carlo_moment(S012, 6, 1, 1, 1, 2, samples=50, rng_seed=4)
+    merged = monte_carlo_moment(S012, 6, 1, 3, samples=50, rng_seed=4)
+    assert (pair.mean, pair.variance) == (merged.mean, merged.variance)
+
+
 class TestFixpoint:
     def test_small_coefficients(self):
         series = joint_gf_fixpoint(S012, 3)

@@ -1,0 +1,97 @@
+"""`sample` prints byte-identical trees across the pinned sweep.
+
+Each digest is sha256 over, for every format and seed in turn, the line
+"<format> <seed> <exit code>" followed by the command's stdout.  The sweep
+covers the recursive method (|S| >= 5), including {0,2,4,6,8}, which has
+trees only at odd n and exits 2 at even n, and one cycle-lemma set as a
+control.  The digests pin the exact sequence of rng draws, not only the
+distribution, so a change to how a choice is drawn shows here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from treemoments.cli import main
+
+FORMATS = ("text", "csv", "json")
+SEEDS = (1, 20261018)
+COMMAND = "sample -S {s} -n {n} --count 4 --seed {seed} --format {fmt}"
+
+DIGESTS = {
+    ("0,1,2", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1,2", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1,2", 5):
+        "8a6c85ef5953c8274d252eb682eb69a138402f5be2b21acc117aa85613fc3b45",
+    ("0,1,2", 17):
+        "4122031b801249e681c9810d33860038a1c6b5a72a18ab39901ef837f4ea54da",
+    ("0,1,2", 60):
+        "afffbb30a5937dd247e9f1084a4355162a8f8238b2f27d194e24658b7ef1fe9a",
+    ("0,1,2", 299):
+        "a2e363d3c99d9f4dc491ccbf88d3b6598d3cb803901d8f9d2461f20ee7be451e",
+    ("0,1,2,3,4", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1,2,3,4", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1,2,3,4", 5):
+        "255d96e76d440065e4220cb63f0046186c6d4a58bb411e2f2d37619de78beb84",
+    ("0,1,2,3,4", 17):
+        "94c5f7e218e11e01bb1a82ea8741af4cd71baa4b461cb4d78d58029bcddaf884",
+    ("0,1,2,3,4", 60):
+        "1e1dc34d73a41abba68c6304f2ee429446a2d63223c67efeeb8f37a3bb3b92c9",
+    ("0,1,2,3,4", 299):
+        "80543eb989d502e2635737bebd0812ae06f9d16ccec8d35dc10cefd4cd44f280",
+    ("0,2,3,5,7", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,2,3,5,7", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,3,5,7", 5):
+        "ffe226a37480c1c6f2f17b19e1f810b4b55cee6b8042ee2da56851b15ad1b9f4",
+    ("0,2,3,5,7", 17):
+        "d34d81cfd3a8b62025d5a56d3d3b1004fc850fae40f2f5678a5d2b4650d66db0",
+    ("0,2,3,5,7", 60):
+        "abf3596df149f63cf60d941b912f86d20792f80470900d976dcf092cbc47c8c3",
+    ("0,2,3,5,7", 299):
+        "549a333d50c552be5dded4fbbff1b6046eaf45afaa76c314328f6b1efd323a38",
+    ("0,2,4,6,8", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,2,4,6,8", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,4,6,8", 5):
+        "5c676a6b279581ad7477f4aac506edb32c2e072323a92845916bf9f9e946cf93",
+    ("0,2,4,6,8", 17):
+        "cd52e86562a296c5873f5cd7f586a555b70a9974e13bfbc335f67913aafb09f3",
+    ("0,2,4,6,8", 60):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,4,6,8", 299):
+        "8ce698991173b235b3c9d8bf4fff923225e2503c22f289cddbdac8528df30eb5",
+    ("0,1,2,3,4,5", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1,2,3,4,5", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1,2,3,4,5", 5):
+        "255d96e76d440065e4220cb63f0046186c6d4a58bb411e2f2d37619de78beb84",
+    ("0,1,2,3,4,5", 17):
+        "46615348d4fade6440289b352f998203d56a72345cb729000820954a1339fd57",
+    ("0,1,2,3,4,5", 60):
+        "ab091102cfddb88b83ad72cb210cadeb613b2c51abe1e974c71cb6dead2a871d",
+    ("0,1,2,3,4,5", 299):
+        "e9fb57b6ea6e8c054ae2cf0e1c0306e10d9c868e375478beb513ee26dcb632fb",
+}
+
+
+@pytest.mark.parametrize("child_set, n", sorted(DIGESTS))
+def test_sample_stdout_is_pinned(child_set, n):
+    digest = hashlib.sha256()
+    for fmt in FORMATS:
+        for seed in SEEDS:
+            argv = COMMAND.format(s=child_set, n=n, seed=seed, fmt=fmt).split()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            digest.update(f"{fmt} {seed} {code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == DIGESTS[(child_set, n)]
