@@ -73,7 +73,7 @@ from .recurrence import (
     guess_recurrence,
     verify_recurrence,
 )
-from .render import SqrtExpr, format_fraction, format_sqrt
+from .render import SqrtExpr, format_fraction
 
 __version__ = "0.1.0"
 
@@ -132,5 +132,4 @@ __all__ = [
     "extend_sequence",
     "SqrtExpr",
     "format_fraction",
-    "format_sqrt",
 ]

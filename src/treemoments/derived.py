@@ -146,6 +146,10 @@ def count_range(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
+    return _count_steps(child_set, lo, hi)
+
+
+def _count_steps(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
     ode = count_ode(child_set, len(child_set) * (lo + hi) * (hi - lo + 1) // 20)
     if ode is None:
         for n in range(lo, hi + 1):

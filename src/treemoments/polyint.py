@@ -9,7 +9,7 @@ denominator.
 Everything operates on truncated power series: results carry coefficients
 up to a caller-supplied max_deg and drop higher terms.  poly_pow_coeffs
 also takes min_deg and then returns only the coefficients min_deg..max_deg.
-Its recurrence strategy keeps just that window and the last deg(phi)
+Its recurrence keeps just that window and the last deg(phi)
 coefficients, trimming in blocks, so a caller that needs the coefficients
 near max_deg holds O(max_deg) bits instead of O(max_deg**2).
 
@@ -96,17 +96,15 @@ def _pow_recurrence(phi: Poly, m: int, max_deg: int, min_deg: int) -> Poly:
     return coeffs[min_deg - low :]
 
 
-def poly_pow_coeffs(
-    phi: Poly, m: int, max_deg: int, strategy: str = "recurrence", min_deg: int = 0
-) -> Poly:
+def poly_pow_coeffs(phi: Poly, m: int, max_deg: int, min_deg: int = 0) -> Poly:
     """Coefficients c_min_deg..c_max_deg of phi**m.
 
-    strategy="recurrence" (default) uses the first-order coefficient
-    recurrence derived from phi*(phi^m)' = m*phi'*phi^m; it needs
-    phi(0) == 1 and performs one exact small division per coefficient,
-    holding only the coefficients from min_deg on plus the last deg(phi).
-    strategy="binary" is plain binary exponentiation with truncation,
-    kept as an independent cross-check path; it slices its full result.
+    Uses the first-order coefficient recurrence derived from
+    phi*(phi^m)' = m*phi'*phi^m; it needs phi(0) == 1 and performs one
+    exact small division per coefficient, holding only the coefficients
+    from min_deg on plus the last deg(phi).  _pow_binary, plain binary
+    exponentiation with truncation, is the independent reference the tests
+    compare it against.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -116,11 +114,7 @@ def poly_pow_coeffs(
         raise ValueError("min_deg must lie in 0..max_deg")
     if m == 0:
         return ([1] + [0] * max_deg)[min_deg:]
-    if strategy == "recurrence":
-        return _pow_recurrence(phi, m, max_deg, min_deg)
-    if strategy == "binary":
-        return _pow_binary(phi, m, max_deg)[min_deg:]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _pow_recurrence(phi, m, max_deg, min_deg)
 
 
 @lru_cache(maxsize=None)

@@ -1,21 +1,22 @@
 """Decimal rendering of exact values without floating point.
 
-Every value in this package is either rational or q + r*sqrt(d) with
-rational q, r and a rational d >= 0 that is not a rational square.  A
-scaled moment's radicand class is var1^(p1 mod 2) * var2^(p2 mod 2), so
-radicands that occur together differ by a rational square and merge into
-one root; a sum of roots of different classes raises ArithmeticError.
+Every value in this package is either rational or a pure root r*sqrt(d)
+with rational r and a rational d > 0 that is not a rational square, never
+a sum of both.  A scaled moment's radicand class is
+var1^(p1 mod 2) * var2^(p2 mod 2), so radicands that occur together differ
+by a rational square and merge into one root; a sum of roots of different
+classes, or of a nonzero rational and a root, raises ArithmeticError.
 SqrtExpr represents such a value exactly; render() turns it into the
 exactly rounded (round-half-even) decimal with a fixed number of digits
 after the point.  With a root present the value is irrational, so no tie
 can occur.
 
-A value costs what its digits cost.  A rational n/m rounds with one divmod
-of n * 10^P by m.  A pure root (n/m) * sqrt(u/v) rounds to sign(n) *
+A value costs what its digits cost.  format_cell is the one rounding
+routine.  A rational n/m rounds with one divmod of n * 10^P by m.  A pure
+root (n/m) * sqrt(u/v) rounds to sign(n) *
 ((isqrt(4 * 10^(2P) * n^2 * u // (m^2 * v)) + 1) // 2), exact because
 floor(sqrt(floor(z))) = floor(sqrt(z)); the isqrt operand has about 2P
-digits.  Only a sum q + r*sqrt(d) with q != 0, which no CLI cell is, takes
-the full-width routine in _round_scaled.
+digits.
 """
 
 from __future__ import annotations
@@ -51,38 +52,10 @@ def _round_cell(num: int, den: int, radicand: tuple[int, int] | None, places: in
     return magnitude if num >= 0 else -magnitude
 
 
-def _round_scaled(rational: Fraction, terms, places: int) -> int:
-    """round((rational + r*sqrt(d)) * 10**places) as an int, ties to even.
-
-    terms is () or ((r, d),) with d not a rational square.  A rational or a
-    pure root (rational == 0) rounds with _round_cell.  Otherwise the result
-    is floor(y) for y = 10**places*value + 1/2.  Write y = (a*v +
-    sign*sqrt(N))/(m*v) with a/m = 10**places*rational + 1/2, u/v =
-    (r*10**places)**2 * d and N = u*v*m^2; sqrt(N) is irrational, so
-    s = isqrt(N) satisfies s < sqrt(N) < s + 1 and decides the floor.
-    """
-    if places < 0:
-        raise ValueError("places must be nonnegative")
-    if not terms:
-        return _round_cell(rational.numerator, rational.denominator, None, places)
-    ((coeff, radicand),) = terms
-    if not rational:
-        root = radicand.numerator, radicand.denominator
-        return _round_cell(coeff.numerator, coeff.denominator, root, places)
-    scale = 10**places
-    half = rational * scale + Fraction(1, 2)
-    square = coeff * coeff * radicand * scale * scale
-    a, m = half.numerator, half.denominator
-    u, v = square.numerator, square.denominator
-    s = isqrt(u * v * m * m)
-    if coeff > 0:
-        return (a * v + s) // (m * v)
-    return (a * v - s - 1) // (m * v)
-
-
 def format_fraction(value: Fraction, places: int) -> str:
     """Exactly rounded decimal string with `places` digits after the point."""
-    return _format_scaled(_round_scaled(Fraction(value), (), places), places)
+    value = Fraction(value)
+    return format_cell(value.numerator, value.denominator, None, places)
 
 
 def format_cell(num: int, den: int, radicand: tuple[int, int] | None, places: int) -> str:
@@ -92,23 +65,16 @@ def format_cell(num: int, den: int, radicand: tuple[int, int] | None, places: in
     return _format_scaled(_round_cell(num, den, radicand, places), places)
 
 
-def sqrt_scaled(radicand: Fraction, places: int) -> int:
-    """round(sqrt(radicand) * 10**places), ties to even, all-integer."""
-    expr = SqrtExpr.from_sqrt(1, radicand)
-    return _round_scaled(expr.rational, expr.terms, places)
-
-
-def format_sqrt(radicand: Fraction, places: int, sign: int = 1) -> str:
-    """Exactly rounded decimal of sign * sqrt(radicand)."""
-    return SqrtExpr.from_sqrt(1 if sign >= 0 else -1, radicand).render(places)
-
-
 @dataclass(frozen=True)
 class SqrtExpr:
-    """Exact value rational + coeff * sqrt(radicand), with at most one root."""
+    """Exact value: a rational, or one root coeff * sqrt(radicand), never both."""
 
     rational: Fraction = Fraction(0)
     terms: tuple[tuple[Fraction, Fraction], ...] = ()  # () or ((coeff, radicand),)
+
+    def __post_init__(self) -> None:
+        if self.rational and self.terms:
+            raise ArithmeticError("a rational plus a root has no single root")
 
     @staticmethod
     def from_rational(value) -> "SqrtExpr":
@@ -153,7 +119,9 @@ class SqrtExpr:
         return self.rational if not self.terms else None
 
     def render(self, places: int) -> str:
-        return _format_scaled(_round_scaled(self.rational, self.terms, places), places)
+        coeff, radicand = self.terms[0] if self.terms else (self.rational, None)
+        root = None if radicand is None else (radicand.numerator, radicand.denominator)
+        return format_cell(coeff.numerator, coeff.denominator, root, places)
 
 
 def _rational_sqrt(value: Fraction) -> Fraction | None:

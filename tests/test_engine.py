@@ -13,7 +13,7 @@ from treemoments import (
     numerator_mixed,
     numerator_sequence,
 )
-from treemoments.polyint import falling_factorial, poly_pow_coeffs, stirling2
+from treemoments.polyint import _pow_binary, falling_factorial, stirling2
 
 S012 = ChildSet((0, 1, 2))
 S02 = ChildSet((0, 2))
@@ -135,7 +135,7 @@ def per_k_binary_grid(child_set, n, s1, s2, max_p1, max_p2):
     phi = child_set.offspring_polynomial()
     t2 = 0 if s2 is None else s2
     powers = [
-        poly_pow_coeffs(phi, n - k, n - 1, strategy="binary")
+        _pow_binary(phi, n - k, n - 1)
         for k in range(min(max_p1 + max_p2, n) + 1)
     ]
     grid = {}

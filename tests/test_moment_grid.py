@@ -27,7 +27,7 @@ from treemoments import (
     scaled_moment,
 )
 from treemoments.engine import numerator_grid
-from treemoments.render import SqrtExpr, _format_scaled, _round_scaled, format_cell
+from treemoments.render import SqrtExpr, _format_scaled, _round_cell, format_cell
 
 S0123 = ChildSet((0, 1, 2, 3))
 
@@ -106,12 +106,13 @@ def assert_scaled_equal(got, expected):
 
 
 @st.composite
-def specs(draw):
-    extra = draw(st.sets(st.integers(1, 6), max_size=4))
+def specs(draw, pair=False):
+    """A MomentSpec; with pair=True it always has an s2."""
+    extra = draw(st.sets(st.integers(1, 6), min_size=int(pair), max_size=4))
     child_set = ChildSet(tuple(sorted({0} | extra)))
     s1 = draw(st.sampled_from(child_set.elements))
     others = [s for s in child_set.elements if s != s1]
-    s2 = draw(st.sampled_from(others)) if others and draw(st.booleans()) else None
+    s2 = draw(st.sampled_from(others)) if others and (pair or draw(st.booleans())) else None
     n = draw(st.integers(1, 80))
     max_p1 = draw(st.integers(0, 4))
     max_p2 = draw(st.integers(0, 4)) if s2 is not None else 0
@@ -165,10 +166,9 @@ class TestAgainstFractionExpansion:
         if report.correlation_rho is not None:
             assert_scaled_equal(report.correlation_rho, reference_scaled(spec, 1, 1, digits))
 
-    @given(spec=specs(), digits=st.integers(0, 40))
+    @given(spec=specs(pair=True), digits=st.integers(0, 40))
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_gap_reports_match(self, spec, digits):
-        assume(spec.s2 is not None)
         try:
             rho = reference_scaled(spec, 1, 1, digits)
         except (NoTrees, DegenerateVariance):
@@ -185,6 +185,9 @@ class TestAgainstFractionExpansion:
             assert row.alpha == alpha
             assert row.reference == reference
             assert row.gap == gap
+            assert row.alpha.render(digits) == row.alpha_text
+            assert row.reference.render(digits) == row.reference_text
+            assert row.gap.render(digits) == row.gap_text
             assert row.alpha_text == full_width_text(alpha, digits)
             assert row.reference_text == full_width_text(reference, digits)
             assert row.gap_text == full_width_text(gap, digits)
@@ -193,6 +196,11 @@ class TestAgainstFractionExpansion:
 def non_square(value):
     num, den = value.numerator, value.denominator
     return isqrt(num) ** 2 != num or isqrt(den) ** 2 != den
+
+
+def round_root(coeff, radicand, places):
+    root = radicand.numerator, radicand.denominator
+    return _round_cell(coeff.numerator, coeff.denominator, root, places)
 
 
 class TestPureRootBranch:
@@ -218,9 +226,8 @@ class TestPureRootBranch:
     @settings(max_examples=300, deadline=None)
     def test_equals_full_width_routine(self, coeff, radicand, places):
         assume(non_square(radicand))
-        terms = ((coeff, radicand),)
-        expected = full_width_round(Fraction(0), terms, places)
-        assert _round_scaled(Fraction(0), terms, places) == expected
+        expected = full_width_round(Fraction(0), ((coeff, radicand),), places)
+        assert round_root(coeff, radicand, places) == expected
 
     @pytest.mark.parametrize("places", [0, 1, 7, 30, 60])
     @pytest.mark.parametrize("coeff", [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-22, 5)])
@@ -233,9 +240,8 @@ class TestPureRootBranch:
         d = Fraction(t * t * 10 ** (2 * g) + delta, 4 * 10 ** (2 * places + 2 * g))
         d /= coeff * coeff
         assert non_square(d)
-        terms = ((coeff, d),)
-        got = _round_scaled(Fraction(0), terms, places)
-        assert got == full_width_round(Fraction(0), terms, places)
+        got = round_root(coeff, d, places)
+        assert got == full_width_round(Fraction(0), ((coeff, d),), places)
         magnitude = k + 1 if delta > 0 else k
         assert got == (magnitude if coeff > 0 else -magnitude)
 

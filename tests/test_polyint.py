@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treemoments.errors import NonUnitConstantTerm
 from treemoments.polyint import (
+    _pow_binary,
     exact_div,
     falling_factorial,
     poly_mul_trunc,
@@ -49,9 +50,7 @@ class TestPowerCoefficients:
             for s in support:
                 phi[s] = 1
             for m in (1, 2, 7, 20):
-                a = poly_pow_coeffs(phi, m, 25, strategy="binary")
-                b = poly_pow_coeffs(phi, m, 25, strategy="recurrence")
-                assert a == b
+                assert _pow_binary(phi, m, 25) == poly_pow_coeffs(phi, m, 25)
 
     @given(
         support=st.sets(st.integers(min_value=1, max_value=6), min_size=0, max_size=4),
@@ -63,9 +62,7 @@ class TestPowerCoefficients:
         phi = [1] + [0] * max(support, default=0)
         for s in support:
             phi[s] = 1
-        assert poly_pow_coeffs(phi, m, max_deg, "binary") == poly_pow_coeffs(
-            phi, m, max_deg, "recurrence"
-        )
+        assert _pow_binary(phi, m, max_deg) == poly_pow_coeffs(phi, m, max_deg)
 
     @given(
         support=st.sets(st.integers(min_value=1, max_value=6), min_size=0, max_size=4),
@@ -81,10 +78,9 @@ class TestPowerCoefficients:
         for s in support:
             phi[s] = 1
         lo = min(lo, max_deg)
-        for strategy in ("recurrence", "binary"):
-            full = poly_pow_coeffs(phi, m, max_deg, strategy=strategy)
-            tail = poly_pow_coeffs(phi, m, max_deg, strategy=strategy, min_deg=lo)
-            assert tail == full[lo:]
+        full = _pow_binary(phi, m, max_deg)
+        assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
+        assert poly_pow_coeffs(phi, m, max_deg) == full
 
     def test_min_deg_outside_the_range_is_rejected(self):
         with pytest.raises(ValueError):
@@ -94,15 +90,13 @@ class TestPowerCoefficients:
 
     def test_recurrence_needs_unit_constant_term(self):
         with pytest.raises(NonUnitConstantTerm):
-            poly_pow_coeffs([2, 1], 3, 5, strategy="recurrence")
+            poly_pow_coeffs([2, 1], 3, 5)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             poly_pow_coeffs([1, 1], -1, 3)
         with pytest.raises(ValueError):
             poly_pow_coeffs([1, 1], 2, -1)
-        with pytest.raises(ValueError):
-            poly_pow_coeffs([1, 1], 2, 3, strategy="magic")
 
 
 def brute_stirling2(p, k):

@@ -5,9 +5,16 @@ a blank line or the end of the code fence.  Lines are compared cell by cell
 (whitespace-separated, so column widths may differ).  A cell reading `...`
 matches any one cell; a line reading `...` matches any run of lines,
 including none.
+
+The README's ```python library block runs too, one statement at a time.  A
+statement whose comment is a value (`# 593742784829`, `# Fraction(-1, 1)`)
+must return that value, with its type; a string value ending in `...`
+matches any string that starts with the rest.  Other comments are prose.
 """
 
+import ast
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -64,6 +71,41 @@ def test_example_prints_what_the_readme_shows(capsys, command, expected):
     assert (code, captured.err) == (0, "")
     actual = captured.out.splitlines()
     assert lines_match(expected, actual), "\n".join(actual)
+
+
+def library_block() -> str:
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    return text[start : text.index("```", start)]
+
+
+def comment_value(comment: str):
+    """The value a comment shows, or None when the comment is prose."""
+    try:
+        return eval(comment, {"__builtins__": {}, "Fraction": Fraction})
+    except (SyntaxError, NameError):
+        return None
+
+
+def test_library_block_returns_what_its_comments_show():
+    source = library_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        expected = comment_value(lines[node.end_lineno - 1].partition("#")[2].strip())
+        if expected is None:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(node, ast.Expr), ast.get_source_segment(source, node)
+        actual = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        assert type(actual) is type(expected)
+        if isinstance(expected, str) and expected.endswith("..."):
+            assert actual.startswith(expected[:-3]), actual
+        else:
+            assert actual == expected
+        checked += 1
+    assert checked == 5
 
 
 def test_ellipsis_matching():

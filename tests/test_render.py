@@ -5,12 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treemoments.render import (
-    SqrtExpr,
-    format_fraction,
-    format_sqrt,
-    sqrt_scaled,
-)
+from treemoments.render import SqrtExpr, format_fraction
 
 
 class TestFormatFraction:
@@ -46,28 +41,32 @@ class TestFormatFraction:
         assert abs(rendered - value) <= step / 2
 
 
+def root_text(radicand, places, sign=1):
+    return SqrtExpr.from_sqrt(sign, radicand).render(places)
+
+
 class TestSqrtRendering:
     def test_perfect_squares(self):
-        assert format_sqrt(Fraction(4), 3) == "2.000"
-        assert format_sqrt(Fraction(1, 4), 2) == "0.50"
+        assert root_text(Fraction(4), 3) == "2.000"
+        assert root_text(Fraction(1, 4), 2) == "0.50"
 
     def test_known_digits(self):
-        assert format_sqrt(Fraction(2), 5) == "1.41421"
-        assert format_sqrt(Fraction(3), 4) == "1.7321"
-        assert format_sqrt(Fraction(2), 0) == "1"
+        assert root_text(Fraction(2), 5) == "1.41421"
+        assert root_text(Fraction(3), 4) == "1.7321"
+        assert root_text(Fraction(2), 0) == "1"
 
     def test_sign_argument(self):
-        assert format_sqrt(Fraction(2), 2, sign=-1) == "-1.41"
+        assert root_text(Fraction(2), 2, sign=-1) == "-1.41"
 
     def test_rejects_negative_radicand(self):
         with pytest.raises(ValueError):
-            sqrt_scaled(Fraction(-1), 2)
+            SqrtExpr.from_sqrt(1, Fraction(-1))
 
     def test_exact_tie_rounds_to_even(self):
         # sqrt(1/4) at 1 place: 0.5 scaled = 5, no tie; build a real tie:
         # sqrt(9/4) = 1.5, at 0 places the half-point 1.5 must go to 2
-        assert format_sqrt(Fraction(9, 4), 0) == "2"
-        assert format_sqrt(Fraction(25, 4), 0) == "2"  # 2.5 ties to even 2
+        assert root_text(Fraction(9, 4), 0) == "2"
+        assert root_text(Fraction(25, 4), 0) == "2"  # 2.5 ties to even 2
 
     @given(
         num=st.integers(min_value=0, max_value=10**6),
@@ -77,7 +76,7 @@ class TestSqrtRendering:
     @settings(max_examples=80, deadline=None)
     def test_scaled_root_is_nearest_integer(self, num, den, places):
         radicand = Fraction(num, den)
-        scaled = sqrt_scaled(radicand, places)
+        scaled = int(Fraction(root_text(radicand, places)) * 10**places)
         # scaled is the correct rounding iff
         # scaled - 1/2 <= sqrt(radicand*10^(2p)) <= scaled + 1/2
         target = radicand * 10 ** (2 * places)
@@ -113,29 +112,27 @@ class TestSqrtExpr:
         with pytest.raises(ArithmeticError):
             SqrtExpr.from_sqrt(1, 2) + SqrtExpr.from_sqrt(1, 3)
 
-    def test_near_ties_round_exactly(self):
-        # sqrt(2) - 1.41421356237309 = 5.0e-15, so each value lies just above a half-point
-        expr = SqrtExpr.from_rational(
-            Fraction(1, 2) - Fraction("1.41421356237309")
-        ) + SqrtExpr.from_sqrt(1, 2)
-        assert expr.render(0) == "1"
-        expr = SqrtExpr.from_rational(
-            Fraction("0.0005") - Fraction("1.41421356237309504")
-        ) + SqrtExpr.from_sqrt(1, 2)
-        assert expr.render(3) == "0.001"
+    def test_rational_plus_root_raises(self):
+        root = SqrtExpr.from_sqrt(1, 2)
+        with pytest.raises(ArithmeticError):
+            SqrtExpr.from_rational(Fraction(1, 2)) + root
+        with pytest.raises(ArithmeticError):
+            root - SqrtExpr.from_rational(1)
+        with pytest.raises(ArithmeticError):
+            SqrtExpr(Fraction(1), ((Fraction(1), Fraction(2)),))
+        assert SqrtExpr.from_rational(0) + root == root
 
     @given(
-        q=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
         r=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
         d=st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
         places=st.integers(min_value=0, max_value=8),
     )
     @settings(max_examples=200, deadline=None)
-    def test_rational_plus_root_matches_integer_reference(self, q, r, d, places):
-        expr = SqrtExpr.from_rational(q) + SqrtExpr.from_sqrt(r, d)
+    def test_root_matches_integer_reference(self, r, d, places):
+        expr = SqrtExpr.from_sqrt(r, d)
         assume(expr.terms)
         assert Fraction(expr.render(places)) * 10**places == rounded_reference(
-            q, r, d, places
+            r, d, places
         )
 
     def test_negation_and_zero(self):
@@ -144,13 +141,12 @@ class TestSqrtExpr:
         assert SqrtExpr.from_sqrt(0, Fraction(3)).is_zero()
 
 
-def rounded_reference(q, r, d, places, guard=200):
-    """round(10**places * (q + r*sqrt(d))) from an isqrt bracket `guard` digits finer."""
+def rounded_reference(r, d, places, guard=200):
+    """round(10**places * r*sqrt(d)) from an isqrt bracket `guard` digits finer."""
     scale = 10 ** (places + guard)
     square = r * r * d * scale * scale
     low = isqrt(square.numerator // square.denominator)  # floor(|r|*sqrt(d)*scale)
-    base = q * scale
-    lo, hi = (base + low, base + low + 1) if r > 0 else (base - low - 1, base - low)
-    first, last = round(lo / 10**guard), round(hi / 10**guard)
+    lo, hi = (low, low + 1) if r > 0 else (-low - 1, -low)
+    first, last = round(Fraction(lo, 10**guard)), round(Fraction(hi, 10**guard))
     assert first == last, "bracket straddles a rounding boundary"
     return first
