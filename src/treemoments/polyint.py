@@ -77,15 +77,19 @@ def _pow_recurrence(phi: Poly, m: int, max_deg: int, min_deg: int) -> Poly:
         raise NonUnitConstantTerm("power recurrence needs constant term 1")
     # (k, b_k, b_k*(m+1)*k) for each nonzero b_k, k >= 1
     support = [(k, phi[k], phi[k] * (m + 1) * k) for k in range(1, len(phi)) if phi[k]]
-    reach = support[-1][0] if support else 0
-    coeffs = [1]  # c_low..c_(j-1) before step j, so c_(j-k) is coeffs[-k]
-    low = 0
+    if not support:  # phi = 1
+        return ([1] + [0] * max_deg)[min_deg:]
+    (k1, b1, b1_m1k), *rest = support
+    reach = support[-1][0]
+    # c_low..c_(j-1) before step j, so c_(j-k) is coeffs[-k]; the zeros
+    # c_(-reach)..c_(-1) let every step take every term, and the sum starts
+    # from its first term rather than from 0
+    coeffs = [0] * reach + [1]
+    low = -reach
     for block in range(1, max_deg + 1, _TRIM_BLOCK):
         for j in range(block, min(block + _TRIM_BLOCK, max_deg + 1)):
-            acc = 0
-            for k, bk, bk_m1k in support:
-                if k > j:
-                    break
+            acc = (b1_m1k - b1 * j) * coeffs[-k1]
+            for k, bk, bk_m1k in rest:
                 acc += (bk_m1k - bk * j) * coeffs[-k]
             coeffs.append(exact_div(acc, j))
         # keep c_min_deg on, and the last `reach` coefficients the next step needs

@@ -75,6 +75,13 @@ class SqrtExpr:
     def __post_init__(self) -> None:
         if self.rational and self.terms:
             raise ArithmeticError("a rational plus a root has no single root")
+        # render's isqrt rounding needs an irrational root; from_sqrt folds
+        # a square radicand into the rational
+        for _, radicand in self.terms:
+            if radicand <= 0:
+                raise ValueError("radicand must be positive")
+            if _rational_sqrt(radicand) is not None:
+                raise ValueError("radicand is a rational square: use from_sqrt")
 
     @staticmethod
     def from_rational(value) -> "SqrtExpr":
@@ -124,8 +131,17 @@ class SqrtExpr:
         return format_cell(coeff.numerator, coeff.denominator, root, places)
 
 
+# The squares modulo a few small moduli.  About 99% of non-squares fail one
+# of these residue tests, so SqrtExpr's check on every construction rarely
+# needs an isqrt of a full-width radicand.
+_SQUARES_MOD = {m: {i * i % m for i in range(m)} for m in (64, 63, 65, 11)}
+
+
 def _rational_sqrt(value: Fraction) -> Fraction | None:
     """sqrt(value) if it is rational, else None (value >= 0)."""
+    for m, squares in _SQUARES_MOD.items():
+        if value.numerator % m not in squares or value.denominator % m not in squares:
+            return None
     pn = isqrt(value.numerator)
     pd = isqrt(value.denominator)
     if pn * pn == value.numerator and pd * pd == value.denominator:

@@ -252,12 +252,14 @@ def test_desk_scale_performance():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_recursive_sampler_memory_does_not_grow_with_draws():
-    # perfbench/launch.py forks the CLI from a small process and reports
-    # that child's own ru_maxrss; a child forked from pytest would start at
-    # pytest's peak
+def _peak_rss_mb(argv):
+    """Peak RSS in MB of one CLI child run on argv, and its exit code.
+
+    perfbench/launch.py forks the CLI from a small process and reports that
+    child's own ru_maxrss; a child forked from pytest would start at
+    pytest's peak.
+    """
     root = Path(__file__).resolve().parents[1]
-    argv = "sample -S 0,1,2,3,4 -n 1000 --count 20".split()
     report_read, report_write = os.pipe()
     try:
         subprocess.run(
@@ -274,5 +276,18 @@ def test_recursive_sampler_memory_does_not_grow_with_draws():
         os.close(report_write)
     with os.fdopen(report_read) as fh:
         report = json.load(fh)
-    assert report["code"] == 0
-    assert report["max_rss_kib"] / 1024 < 40.0
+    return report["max_rss_kib"] / 1024, report["code"]
+
+
+def test_recursive_sampler_memory_does_not_grow_with_draws():
+    peak, code = _peak_rss_mb("sample -S 0,1,2,3,4 -n 1000 --count 20".split())
+    assert code == 0
+    assert peak < 40.0
+
+
+def test_cycle_lemma_table_memory_is_quadratic_in_bits():
+    # one full-size cumulative weight per row of the |S| = 4 table would be
+    # O(n^3) bits, about 233 MB here
+    peak, code = _peak_rss_mb("sample -S 0,1,2,3 -n 2000 --count 10".split())
+    assert code == 0
+    assert peak < 40.0

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -19,13 +21,51 @@ from treemoments import (
     oracle_numerator,
     sample_tree_uniform,
 )
-from treemoments.oracle import count_vector_table, format_code, parse_code
+from treemoments.oracle import _outer_counts, count_vector_table, format_code, parse_code
 
 S012 = ChildSet((0, 1, 2))
 S02 = ChildSet((0, 2))
 FAMILY = [
     ChildSet(s) for s in [(0, 1, 2), (0, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
 ]
+CYCLE_LEMMA_4 = [(0, 1, 2, 3), (0, 1, 2, 5), (0, 2, 3, 5), (0, 2, 4, 6)]
+
+
+def multinomial(n, counts):
+    return math.factorial(n) // math.prod(map(math.factorial, counts))
+
+
+def per_row_table(child_set, n):
+    """Every child-count vector with its cumulative weight, one per row, in
+    the row order of count_vector_table: the table its checkpoints replaced,
+    kept as the reference that CountVectorTable.pick must agree with."""
+    *outer_coords, inner, last = child_set.elements[1:]  # |S| >= 3
+    g = math.gcd(inner, last)
+    step, drop = last // g, inner // g
+    lose = step - drop
+    vectors, cums = [], []
+    acc = 0
+    for outer, budget in _outer_counts(outer_coords, n - 1):
+        x = next((x for x in range(step) if (budget - inner * x) % last == 0), None)
+        if x is None or inner * x > budget:
+            continue
+        k_last = (budget - inner * x) // last
+        k_zero = n - sum(outer) - x - k_last
+        weight = multinomial(n, (k_zero, *outer, x, k_last))
+        while True:
+            acc += weight
+            cums.append(acc)
+            vectors.append((k_zero, *outer, x, k_last))
+            if k_last < drop:
+                break
+            ratio_num = math.prod(range(k_last - drop + 1, k_last + 1)) * math.prod(
+                range(k_zero - lose + 1, k_zero + 1)
+            )
+            weight = weight * ratio_num // math.prod(range(x + 1, x + step + 1))
+            x += step
+            k_last -= drop
+            k_zero -= lose
+    return vectors, cums
 
 
 class TestValidity:
@@ -238,10 +278,43 @@ class TestSampler:
         extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
         for child_set in FAMILY + extra:
             for n in range(1, 10):
-                vectors, cums = count_vector_table(child_set, n)
+                table = count_vector_table(child_set, n)
+                # every row in table order: pick at each row's first draw
+                vectors = []
+                r = 0
+                while r < table.total:
+                    vectors.append(table.pick(r))
+                    r += multinomial(n, vectors[-1])
+                assert r == table.total
                 dist = child_count_distribution(child_set, n, cap=n)
                 assert sorted(vectors) == sorted(dist), (child_set, n)
-                assert all(b > a for a, b in zip([0] + cums, cums))
+                assert len(set(vectors)) == len(vectors)
+
+    @pytest.mark.parametrize("elements", [(0, 1, 2), (0, 2, 3), (0, 1, 5), *CYCLE_LEMMA_4])
+    def test_picks_match_per_row_reference(self, elements):
+        child_set = ChildSet(elements)
+        rng = Random(sum(elements))
+        for n in (*range(1, 16), 29, 44, 59, 60):
+            table = count_vector_table(child_set, n)
+            vectors, cums = per_row_table(child_set, n)
+            assert table.total == (cums[-1] if cums else 0), (child_set, n)
+            if table.total <= 5000:
+                draws = range(table.total)
+            else:
+                boundaries = {c + d for c in [0, *cums[:-1]] for d in (-1, 0, 1)}
+                boundaries |= {c + d for c in table.starts for d in (-1, 0, 1)}
+                randoms = {rng.randrange(table.total) for _ in range(2000)}
+                draws = sorted(r for r in boundaries | randoms if 0 <= r < table.total)
+            for r in draws:
+                assert table.pick(r) == vectors[bisect_right(cums, r)], (child_set, n, r)
+
+    def test_cycle_lemma_table_holds_o_n_weights(self):
+        n = 2000
+        table = count_vector_table(ChildSet((0, 1, 2, 3)), n)
+        assert len(table.starts) == len(table.vectors) == len(table.weights)
+        assert len(table.weights) <= 2 * n + 2
+        # one run of at most n rows keeps every row: S={0,1,2} has n/2 rows
+        assert len(count_vector_table(S012, n).weights) == n // 2
 
     def test_rejects_codes_it_never_draws(self):
         for child_set in (S012, ChildSet((0, 1, 2, 3)), ChildSet((0, 1, 2, 3, 4))):

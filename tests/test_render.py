@@ -122,6 +122,24 @@ class TestSqrtExpr:
             SqrtExpr(Fraction(1), ((Fraction(1), Fraction(2)),))
         assert SqrtExpr.from_rational(0) + root == root
 
+    def test_square_radicand_is_rejected(self):
+        # its isqrt rounding would print 3 for sqrt(25/4) = 2.5, not 2
+        with pytest.raises(ValueError, match="rational square"):
+            SqrtExpr(Fraction(0), ((Fraction(1), Fraction(25, 4)),))
+        assert SqrtExpr.from_sqrt(1, Fraction(25, 4)).render(0) == "2"
+
+    @given(q=st.fractions(min_value=Fraction(1, 10**9), max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_every_rational_square_folds(self, q):
+        # the residue tests before isqrt never turn a square away
+        assert SqrtExpr.from_sqrt(1, q * q).as_rational() == q
+        assert SqrtExpr.from_sqrt(1, 2 * q * q).terms == ((Fraction(1), 2 * q * q),)
+
+    @pytest.mark.parametrize("radicand", [Fraction(-2), Fraction(0)])
+    def test_nonpositive_radicand_is_rejected(self, radicand):
+        with pytest.raises(ValueError, match="radicand must be positive"):
+            SqrtExpr(Fraction(0), ((Fraction(1), radicand),))
+
     @given(
         r=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
         d=st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),

@@ -2,9 +2,9 @@
 
 Each digest is sha256 over, for every format and seed in turn, the line
 "<format> <seed> <exit code>" followed by the command's stdout.  The sweep
-covers the recursive method (|S| >= 5), including {0,2,4,6,8}, which has
-trees only at odd n and exits 2 at even n, and one cycle-lemma set as a
-control.  The digests pin the exact sequence of rng draws, not only the
+covers the cycle lemma at |S| = 3 and |S| = 4, where {0,2,4,6} has trees
+only at odd n and exits 2 at even n, and the recursive method (|S| >= 5),
+where {0,2,4,6,8} does the same.  The digests pin the exact sequence of rng draws, not only the
 distribution, so a change to how a choice is drawn shows here.
 """
 
@@ -33,6 +33,54 @@ DIGESTS = {
         "afffbb30a5937dd247e9f1084a4355162a8f8238b2f27d194e24658b7ef1fe9a",
     ("0,1,2", 299):
         "a2e363d3c99d9f4dc491ccbf88d3b6598d3cb803901d8f9d2461f20ee7be451e",
+    ("0,1,2,3", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1,2,3", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1,2,3", 5):
+        "d817eb0a046129deeb24fadf7c7a3c0d1f9004dd5c7c0eb304bb11661c9671fc",
+    ("0,1,2,3", 17):
+        "e9dafb431e9cd89285595be017048007134cc61d03af47c2e15b06e678dcdaaa",
+    ("0,1,2,3", 60):
+        "64f8e6a50163a418101ea64083c822df0a2e9a719aa4a01fb82d646ae6e4e130",
+    ("0,1,2,3", 299):
+        "be20d09b85a3e6cb50f782b5c8ae182f80b97d6c09a0e28d0b98463bc421cca2",
+    ("0,1,2,5", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1,2,5", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1,2,5", 5):
+        "8a6c85ef5953c8274d252eb682eb69a138402f5be2b21acc117aa85613fc3b45",
+    ("0,1,2,5", 17):
+        "5ddd5426eb603bb14f3843a7a7315f1585912cc06bc1d0b7069579958f700333",
+    ("0,1,2,5", 60):
+        "34855c5890ef29a6cee460d46e6be75ea99f7dbae60b223071d658a7f63a823c",
+    ("0,1,2,5", 299):
+        "3d2dfb7208420e3d64752449d99e000ea4f4c736d00a4c54dd9f10e2fe42feaf",
+    ("0,2,3,5", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,2,3,5", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,3,5", 5):
+        "466b5dc864ada66e9bd0fca8545e5fef8b4506ab36f848e14d4e81e7c9dc66a8",
+    ("0,2,3,5", 17):
+        "c44a40caf302b5507704ba3ab52500bc9ebc587543c2986fd0babfc64acc2669",
+    ("0,2,3,5", 60):
+        "fada23fe81b3390b0cc589a883766fde7211ac9ee2cdbf10f84ad705a86a0686",
+    ("0,2,3,5", 299):
+        "b22dd9f4ca1eb26064d2565a9eaaa63b9979387dbf2701bda7de10afd7cc7e4f",
+    ("0,2,4,6", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,2,4,6", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,4,6", 5):
+        "254c77a604c2407855fe7c2ac4eff79281213dc80a0092c4692c4d4392a2856c",
+    ("0,2,4,6", 17):
+        "c2630ceed62d067c4ae22ef55e649011dbcb4428de262af265330670be749c72",
+    ("0,2,4,6", 60):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2,4,6", 299):
+        "d6d9ff2dc235b25d257fc9aa5be53fff2e6fbd31d1b72cc043f9e41925486ac4",
     ("0,1,2,3,4", 1):
         "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
     ("0,1,2,3,4", 2):
