@@ -2,27 +2,36 @@
 
 A ChildSet is the finite set S of child counts a vertex may have.  It must
 contain 0 (otherwise no finite tree exists) and is stored as a strictly
-increasing tuple so that equal sets compare and hash equal.
+increasing tuple so that equal sets compare and hash equal.  Elements are
+taken through operator.index, so 1.5 or "2" is refused, not truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
+
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ChildSet:
-    elements: tuple[int, ...]
+def _child_count(element) -> int:
+    try:
+        return index(element)
+    except TypeError:
+        raise ValueError(f"child count {element!r} is not an integer") from None
+
+
+class ChildSet(Value):
+    __slots__ = ("elements",)
 
     def __init__(self, elements) -> None:
-        elems = tuple(sorted(set(int(e) for e in elements)))
+        elems = tuple(sorted(set(map(_child_count, elements))))
         if not elems:
             raise ValueError("child set must be nonempty")
         if any(e < 0 for e in elems):
             raise ValueError("child counts must be nonnegative")
         if elems[0] != 0:
             raise ValueError("child set must contain 0")
-        object.__setattr__(self, "elements", elems)
+        self._set(elems)
 
     def __contains__(self, value: int) -> bool:
         return value in self.elements

@@ -21,9 +21,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from collections.abc import Iterable
+from io import TextIOBase
 from random import Random
-from typing import IO, Iterable
 
 from .childset import ChildSet
 from .derived import count_range
@@ -100,7 +100,7 @@ class RowWriter:
     long runs can be watched incrementally).
     """
 
-    def __init__(self, fmt: str, columns: list[str], out: IO[str], buffered: bool):
+    def __init__(self, fmt: str, columns: list[str], out: TextIOBase, buffered: bool):
         self.fmt = fmt
         self.columns = columns
         self.out = out
@@ -151,7 +151,7 @@ class RowWriter:
 
 
 def _per_n(
-    args: argparse.Namespace, out: IO[str], columns: list[str], rows, bare: str
+    args: argparse.Namespace, out: TextIOBase, columns: list[str], rows, bare: str
 ) -> None:
     """A single n in text prints its row's [bare] alone; otherwise one row per n."""
     lo, hi = args.n
@@ -164,7 +164,7 @@ def _per_n(
     writer.close()
 
 
-def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_count(args: argparse.Namespace, out: TextIOBase) -> None:
     # one n stays on the power kernel; a range steps a derived recurrence
     lo, hi = args.n
     if lo == hi:
@@ -175,21 +175,22 @@ def _cmd_count(args: argparse.Namespace, out: IO[str]) -> None:
     _per_n(args, out, ["n", "count"], rows, "count")
 
 
-def _cmd_numerator(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_numerator(args: argparse.Namespace, out: TextIOBase) -> None:
     query = args.query
     lo, hi = args.n
     keys = ["s1", "p1"] if query.s2 is None else ["s1", "p1", "s2", "p2"]
 
     def row(n: int) -> dict:
         cells = {"n": n, **{key: getattr(query, key) for key in keys}}
-        cells["numerator"] = numerator_mixed(replace(query, n=n))
+        at_n = NumeratorQuery(query.child_set, n, query.s1, query.p1, query.s2, query.p2)
+        cells["numerator"] = numerator_mixed(at_n)
         return cells
 
     columns = ["n", *keys, "numerator"]
     _per_n(args, out, columns, map(row, range(lo, hi + 1)), "numerator")
 
 
-def _cmd_moments(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_moments(args: argparse.Namespace, out: TextIOBase) -> None:
     report = moment_report(args.query, args.digits)
     writer = RowWriter(args.format, ["p1", "p2", "raw", "central", "scaled"], out, True)
     for cell in sorted(report.raw):
@@ -206,12 +207,14 @@ def _cmd_moments(args: argparse.Namespace, out: IO[str]) -> None:
     writer.close()
 
 
-def _cmd_scaled(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_scaled(args: argparse.Namespace, out: TextIOBase) -> None:
+    spec = args.query
     p1, p2 = args.p
     lo, hi = args.n
 
     def row(n: int) -> dict:
-        value = scaled_moment(replace(args.query, n=n), p1, p2, args.digits)
+        at_n = MomentSpec(spec.child_set, n, spec.s1, spec.s2, spec.max_p1, spec.max_p2)
+        value = scaled_moment(at_n, p1, p2, args.digits)
         exact = None if value.exact is None else str(value.exact)
         return {"n": n, "p1": p1, "p2": p2, "alpha": value.text, "exact": exact}
 
@@ -219,7 +222,7 @@ def _cmd_scaled(args: argparse.Namespace, out: IO[str]) -> None:
     _per_n(args, out, columns, map(row, range(lo, hi + 1)), "alpha")
 
 
-def _cmd_normal_compare(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_normal_compare(args: argparse.Namespace, out: TextIOBase) -> None:
     spec = args.query
     report = normality_gap_report(spec, spec.max_p1, spec.max_p2, args.digits)
     writer = RowWriter(args.format, ["p1", "p2", "alpha", "normal", "gap"], out, True)
@@ -236,7 +239,7 @@ def _cmd_normal_compare(args: argparse.Namespace, out: IO[str]) -> None:
     writer.close()
 
 
-def _cmd_guess_rec(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_guess_rec(args: argparse.Namespace, out: TextIOBase) -> None:
     if args.stat == "count":
         seq = list(count_range(args.child_set, 1, args.terms))
     else:
@@ -270,7 +273,7 @@ def _cmd_guess_rec(args: argparse.Namespace, out: IO[str]) -> None:
     out.write("none\n" if rec is None else rec.render_text() + "\n")
 
 
-def _write_codes(args: argparse.Namespace, out: IO[str], codes: Iterable) -> None:
+def _write_codes(args: argparse.Namespace, out: TextIOBase, codes: Iterable) -> None:
     if args.format == "text":
         for code in codes:
             out.write(format_code(code) + "\n")
@@ -281,11 +284,11 @@ def _write_codes(args: argparse.Namespace, out: IO[str], codes: Iterable) -> Non
     writer.close()
 
 
-def _cmd_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_enumerate(args: argparse.Namespace, out: TextIOBase) -> None:
     _write_codes(args, out, enumerate_trees(args.child_set, args.n[0], args.cap))
 
 
-def _cmd_sample(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_sample(args: argparse.Namespace, out: TextIOBase) -> None:
     sampler = TreeSampler(args.child_set, args.n[0])
     rng = Random(args.seed)
     _write_codes(args, out, (sampler.sample(rng) for _ in range(args.count)))

@@ -38,9 +38,9 @@ measured cost (_search_cost); past it the range is computed per n.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import count
 from operator import mul
-from typing import Iterator
 
 from .childset import ChildSet
 from .engine import count_trees

@@ -25,12 +25,12 @@ proved from u = x*phi(u) instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
 from .childset import ChildSet
 from .errors import InvalidQuery
 from .polyint import exact_div, falling_factorial, poly_pow_coeffs, stirling2
+from .values import Value
 
 
 def check_query(
@@ -55,32 +55,37 @@ def check_query(
         raise InvalidQuery("s1 == s2 with both powers positive; merge the powers first")
 
 
-@dataclass(frozen=True)
-class NumeratorQuery:
+class NumeratorQuery(Value):
     """One numerator request: N_{p1,p2}(X_{n,s1}, X_{n,s2})."""
 
-    child_set: ChildSet
-    n: int
-    s1: int
-    p1: int
-    s2: int | None = None
-    p2: int = 0
+    __slots__ = ("child_set", "n", "s1", "p1", "s2", "p2")
 
-    def __post_init__(self) -> None:
-        check_query(self.child_set, self.n, self.s1, self.p1, self.s2, self.p2)
+    def __init__(
+        self, child_set: ChildSet, n: int, s1: int, p1: int, s2: int | None = None, p2: int = 0
+    ) -> None:
+        check_query(child_set, n, s1, p1, s2, p2)
+        self._set(child_set, n, s1, p1, s2, p2)
 
 
-@dataclass
-class NumeratorTable:
-    """Numerators N_{a,b}(n) for n = 1..n_max, a <= p1, b <= p2."""
+class NumeratorTable(Value):
+    """Numerators N_{a,b}(n) for n = 1..n_max, a <= p1, b <= p2; mutable."""
 
-    child_set: ChildSet
-    s1: int
-    s2: int | None
-    n_max: int
-    max_p1: int
-    max_p2: int
-    values: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    __slots__ = ("child_set", "s1", "s2", "n_max", "max_p1", "max_p2", "values")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        child_set: ChildSet,
+        s1: int,
+        s2: int | None,
+        n_max: int,
+        max_p1: int,
+        max_p2: int,
+        values: dict[tuple[int, int, int], int] | None = None,
+    ) -> None:
+        self._set(child_set, s1, s2, n_max, max_p1, max_p2, {} if values is None else values)
 
     def value(self, n: int, p1: int, p2: int = 0) -> int:
         return self.values[(n, p1, p2)]

@@ -23,7 +23,6 @@ c_k rho^(k-1).  GapRow.alpha, .reference and .gap are built on first access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, prod
@@ -38,17 +37,18 @@ from .moments import (
     _scaled_from_grid,
 )
 from .render import SqrtExpr
+from .values import Value
 
 RhoPoly = tuple[int, ...]  # coefficient c_k at rho^k
 
 
-@dataclass(frozen=True)
-class NormalMomentPoly:
+class NormalMomentPoly(Value):
     """M(p1,p2) as an integer polynomial in the correlation rho."""
 
-    p1: int
-    p2: int
-    coefficients: RhoPoly  # index k holds the coefficient of rho^k
+    __slots__ = ("p1", "p2", "coefficients")
+
+    def __init__(self, p1: int, p2: int, coefficients: RhoPoly) -> None:
+        self._set(p1, p2, coefficients)  # coefficients[k] multiplies rho^k
 
     def evaluate(self, rho: Fraction) -> Fraction:
         total = Fraction(0)
@@ -92,14 +92,13 @@ def normal_mixed_moment_poly(p1: int, p2: int) -> NormalMomentPoly:
     return NormalMomentPoly(p1, p2, tuple(coefficients))
 
 
-@dataclass(frozen=True)
-class NormalMomentValue:
+class NormalMomentValue(Value):
     """M(p1,p2) at a concrete rho, exact plus rendered."""
 
-    p1: int
-    p2: int
-    value: SqrtExpr
-    text: str
+    __slots__ = ("p1", "p2", "value", "text")
+
+    def __init__(self, p1: int, p2: int, value: SqrtExpr, text: str) -> None:
+        self._set(p1, p2, value, text)
 
     @property
     def exact(self) -> Fraction | None:
@@ -125,17 +124,24 @@ def normal_mixed_moment_eval(
     return NormalMomentValue(p1, p2, value, value.render(digits))
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(Value, hidden=("scaled", "rho")):
     """One grid cell: scaled tree moment, normal reference, difference."""
 
-    p1: int
-    p2: int
-    alpha_text: str
-    reference_text: str
-    gap_text: str
-    scaled: ScaledMoment = field(repr=False, compare=False)
-    rho: ScaledMoment = field(repr=False, compare=False)
+    __slots__ = (
+        "p1", "p2", "alpha_text", "reference_text", "gap_text", "scaled", "rho", "__dict__"
+    )
+
+    def __init__(
+        self,
+        p1: int,
+        p2: int,
+        alpha_text: str,
+        reference_text: str,
+        gap_text: str,
+        scaled: ScaledMoment,
+        rho: ScaledMoment,
+    ) -> None:
+        self._set(p1, p2, alpha_text, reference_text, gap_text, scaled, rho)
 
     @property
     def alpha(self) -> SqrtExpr:
@@ -151,12 +157,13 @@ class GapRow:
         return self.alpha - self.reference
 
 
-@dataclass(frozen=True)
-class GapReport:
-    spec: MomentSpec
-    digits: int
-    rho: ScaledMoment  # empirical correlation alpha_{1,1}
-    rows: list[GapRow]
+class GapReport(Value):
+    __slots__ = ("spec", "digits", "rho", "rows")
+
+    def __init__(
+        self, spec: MomentSpec, digits: int, rho: ScaledMoment, rows: list[GapRow]
+    ) -> None:
+        self._set(spec, digits, rho, rows)  # rho: the empirical correlation alpha_{1,1}
 
 
 def normality_gap_report(

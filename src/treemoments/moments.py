@@ -22,7 +22,6 @@ access to ScaledMoment.square, .exact or .value.  rho = alpha_{1,1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, isqrt
@@ -31,6 +30,7 @@ from .childset import ChildSet
 from .engine import check_query, numerator_grid
 from .errors import DegenerateVariance, NoTrees
 from .render import SqrtExpr, format_cell
+from .values import Value
 
 DEFAULT_DIGITS = 30
 
@@ -38,23 +38,26 @@ DEFAULT_DIGITS = 30
 Cell = tuple[int, int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class MomentSpec:
+class MomentSpec(Value):
     """A child set, a vertex count, and one or two statistics to study."""
 
-    child_set: ChildSet
-    n: int
-    s1: int
-    s2: int | None = None
-    max_p1: int = 2
-    max_p2: int | None = None  # defaults to 2 with a pair, 0 without
+    __slots__ = ("child_set", "n", "s1", "s2", "max_p1", "max_p2")
 
-    def __post_init__(self) -> None:
-        if self.max_p2 is None:
-            object.__setattr__(self, "max_p2", 2 if self.s2 is not None else 0)
-        if self.s2 == self.s1:
+    def __init__(
+        self,
+        child_set: ChildSet,
+        n: int,
+        s1: int,
+        s2: int | None = None,
+        max_p1: int = 2,
+        max_p2: int | None = None,  # defaults to 2 with a pair, 0 without
+    ) -> None:
+        if max_p2 is None:
+            max_p2 = 2 if s2 is not None else 0
+        if s2 == s1:
             raise ValueError("s1 and s2 must be distinct")
-        check_query(self.child_set, self.n, self.s1, self.max_p1, self.s2, self.max_p2)
+        check_query(child_set, n, s1, max_p1, s2, max_p2)
+        self._set(child_set, n, s1, s2, max_p1, max_p2)
 
 
 def _central_numerators(grid: dict[tuple[int, int], int], max_p1: int, max_p2: int):
@@ -173,16 +176,19 @@ def central_moment(spec: MomentSpec, p1: int, p2: int = 0) -> Fraction:
     return MomentGrid(spec, p1, p2).central(p1, p2)
 
 
-@dataclass(frozen=True)
-class ScaledMoment:
-    """One scaled mixed moment: sign and rendering; exact forms on first access."""
+class ScaledMoment(Value, hidden=("cell", "grid")):
+    """One scaled mixed moment: sign and rendering; exact forms on first access.
 
-    p1: int
-    p2: int
-    sign: int  # sign of the central moment in the numerator
-    text: str  # decimal rendering at the requested digits
-    cell: Cell = field(repr=False, compare=False)
-    grid: MomentGrid = field(repr=False, compare=False)
+    sign is the sign of the central moment in the numerator, text the
+    decimal rendering at the requested digits.
+    """
+
+    __slots__ = ("p1", "p2", "sign", "text", "cell", "grid", "__dict__")
+
+    def __init__(
+        self, p1: int, p2: int, sign: int, text: str, cell: Cell, grid: MomentGrid
+    ) -> None:
+        self._set(p1, p2, sign, text, cell, grid)
 
     @cached_property
     def square(self) -> Fraction:
@@ -218,17 +224,23 @@ def correlation(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> ScaledMoment:
     return scaled_moment(spec, 1, 1, digits)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Value):
     """Every raw/central/scaled moment on the grid [0..max_p1] x [0..max_p2]."""
 
-    spec: MomentSpec
-    digits: int
-    raw: dict[tuple[int, int], Fraction]
-    central: dict[tuple[int, int], Fraction]
-    scaled: dict[tuple[int, int], ScaledMoment] = field(default_factory=dict)
-    correlation_rho: ScaledMoment | None = None
-    degenerate: bool = False
+    __slots__ = ("spec", "digits", "raw", "central", "scaled", "correlation_rho", "degenerate")
+
+    def __init__(
+        self,
+        spec: MomentSpec,
+        digits: int,
+        raw: dict[tuple[int, int], Fraction],
+        central: dict[tuple[int, int], Fraction],
+        scaled: dict[tuple[int, int], ScaledMoment] | None = None,
+        correlation_rho: ScaledMoment | None = None,
+        degenerate: bool = False,
+    ) -> None:
+        scaled = {} if scaled is None else scaled
+        self._set(spec, digits, raw, central, scaled, correlation_rho, degenerate)
 
 
 def moment_report(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> MomentReport:

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import sub
 from random import Random
-from typing import Iterator, NamedTuple
 
 from .childset import ChildSet
 from .errors import EnumerationTooLarge, NoTrees
+from .values import Value
 
 TreeCode = tuple[int, ...]
 
@@ -151,13 +151,13 @@ def oracle_numerator(
     return total
 
 
-@dataclass(frozen=True)
-class JointCoefficient:
+class JointCoefficient(Value):
     """One monomial of the joint generating polynomial at x^n."""
 
-    n: int
-    exponents: tuple[int, ...]  # aligned with child_set.elements
-    count: int
+    __slots__ = ("n", "exponents", "count")
+
+    def __init__(self, n: int, exponents: tuple[int, ...], count: int) -> None:
+        self._set(n, exponents, count)  # exponents align with child_set.elements
 
 
 def joint_gf_fixpoint(
@@ -262,15 +262,21 @@ def _next_row(
     return k_zero - lose, x + step, k_last - drop, weight
 
 
-class CountVectorTable(NamedTuple):
+class CountVectorTable(Value):
     """Checkpoints of the cycle lemma's weighted rows; see count_vector_table."""
 
-    starts: list[int]  # cumulative weight before each checkpoint row
-    vectors: list[tuple[int, ...]]  # each checkpoint's child-count vector
-    weights: list[int]  # each checkpoint's weight
-    total: int  # the sum of all row weights, n * f_n
-    step: int  # per row of a run: inner count +step,
-    drop: int  # last count -drop
+    __slots__ = ("starts", "vectors", "weights", "total", "step", "drop")
+
+    def __init__(
+        self,
+        starts: list[int],  # cumulative weight before each checkpoint row
+        vectors: list[tuple[int, ...]],  # each checkpoint's child-count vector
+        weights: list[int],  # each checkpoint's weight
+        total: int,  # the sum of all row weights, n * f_n
+        step: int,  # per row of a run: inner count +step,
+        drop: int,  # last count -drop
+    ) -> None:
+        self._set(starts, vectors, weights, total, step, drop)
 
     def pick(self, r: int) -> tuple[int, ...]:
         """The vector of the row whose cumulative weight range holds r.
@@ -530,13 +536,13 @@ def sample_tree_uniform(child_set: ChildSet, n: int, rng_seed: int) -> TreeCode:
     return sampler.sample(Random(rng_seed))
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(Value):
     """Sample mean of a statistic with exact accumulators."""
 
-    mean: Fraction
-    variance: Fraction  # unbiased sample variance
-    samples: int
+    __slots__ = ("mean", "variance", "samples")
+
+    def __init__(self, mean: Fraction, variance: Fraction, samples: int) -> None:
+        self._set(mean, variance, samples)  # variance: the unbiased sample variance
 
     def within_std_errors(self, target: Fraction, k: int) -> bool:
         """Exact check |mean - target| <= k * SE (squared comparison)."""

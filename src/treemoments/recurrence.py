@@ -29,11 +29,11 @@ Sequence indexing: seq[i] is the term a_{start+i}; start defaults to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import InsufficientData, LeadingCoefficientZero
+from .values import Value
 
 DEFAULT_MARGIN = 8
 
@@ -85,28 +85,29 @@ def _format_poly_body(coeffs: IntPoly) -> str:
     return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Value):
     """q_0..q_r with integer coefficient polynomials in n.
 
     coefficients[j] lists the coefficients of q_j by power of n; the
     relation reads sum_j q_j(n) * a_{n+j} = 0.
     """
 
-    coefficients: tuple[IntPoly, ...]
-    verified_from: int | None = None
-    verified_to: int | None = None
+    __slots__ = ("coefficients", "verified_from", "verified_to")
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 2:
+    def __init__(
+        self,
+        coefficients: tuple[IntPoly, ...],
+        verified_from: int | None = None,
+        verified_to: int | None = None,
+    ) -> None:
+        if len(coefficients) < 2:
             raise ValueError("a recurrence needs order at least 1")
-        object.__setattr__(
-            self, "coefficients", tuple(_trim(q) for q in self.coefficients)
-        )
-        if all(all(c == 0 for c in q) for q in self.coefficients):
+        coefficients = tuple(_trim(q) for q in coefficients)
+        if all(all(c == 0 for c in q) for q in coefficients):
             raise ValueError("coefficients must not all be zero")
-        if all(c == 0 for c in self.coefficients[-1]):
+        if all(c == 0 for c in coefficients[-1]):
             raise ValueError("the leading polynomial must not vanish identically")
+        self._set(coefficients, verified_from, verified_to)
 
     @property
     def order(self) -> int:
@@ -178,10 +179,11 @@ class Recurrence:
         }
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    first_failure: int | None = None  # n of the first violated relation
+class VerifyResult(Value):
+    __slots__ = ("ok", "first_failure")
+
+    def __init__(self, ok: bool, first_failure: int | None = None) -> None:
+        self._set(ok, first_failure)  # first_failure: n of the first violated relation
 
     def __bool__(self) -> bool:
         return self.ok
@@ -211,13 +213,16 @@ def verify_recurrence(
     return VerifyResult(True)
 
 
-@dataclass(frozen=True)
-class ExtendedSequence:
-    """Terms a_start..a_target from a recurrence, exact rationals."""
+class ExtendedSequence(Value):
+    """Terms a_start..a_target from a recurrence, exact rationals.
 
-    start: int
-    terms: list[Fraction]
-    non_integral: list[int]  # n where the recurrence produced a non-integer
+    non_integral lists the n where the recurrence produced a non-integer.
+    """
+
+    __slots__ = ("start", "terms", "non_integral")
+
+    def __init__(self, start: int, terms: list[Fraction], non_integral: list[int]) -> None:
+        self._set(start, terms, non_integral)
 
     def term(self, n: int) -> Fraction:
         return self.terms[n - self.start]

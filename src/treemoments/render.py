@@ -21,9 +21,10 @@ digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from .values import Value
 
 
 def _format_scaled(scaled: int, places: int) -> str:
@@ -65,23 +66,26 @@ def format_cell(num: int, den: int, radicand: tuple[int, int] | None, places: in
     return _format_scaled(_round_cell(num, den, radicand, places), places)
 
 
-@dataclass(frozen=True)
-class SqrtExpr:
+class SqrtExpr(Value):
     """Exact value: a rational, or one root coeff * sqrt(radicand), never both."""
 
-    rational: Fraction = Fraction(0)
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()  # () or ((coeff, radicand),)
+    __slots__ = ("rational", "terms")
 
-    def __post_init__(self) -> None:
-        if self.rational and self.terms:
+    def __init__(
+        self,
+        rational: Fraction = Fraction(0),
+        terms: tuple[tuple[Fraction, Fraction], ...] = (),  # () or ((coeff, radicand),)
+    ) -> None:
+        if rational and terms:
             raise ArithmeticError("a rational plus a root has no single root")
         # render's isqrt rounding needs an irrational root; from_sqrt folds
         # a square radicand into the rational
-        for _, radicand in self.terms:
+        for _, radicand in terms:
             if radicand <= 0:
                 raise ValueError("radicand must be positive")
             if _rational_sqrt(radicand) is not None:
                 raise ValueError("radicand is a rational square: use from_sqrt")
+        self._set(rational, terms)
 
     @staticmethod
     def from_rational(value) -> "SqrtExpr":

@@ -20,6 +20,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChildSet((-1, 0))
 
+    @pytest.mark.parametrize("elements, bad", [
+        ([0, 1.5], "1.5"),
+        ([0.4, 2], "0.4"),
+        ([0, "2"], "'2'"),
+        ([0, 2.0], "2.0"),
+        ([0, None], "None"),
+    ])
+    def test_refuses_non_integral_elements_naming_them(self, elements, bad):
+        with pytest.raises(ValueError, match=f"child count {bad} is not an integer"):
+            ChildSet(elements)
+
     def test_equal_sets_compare_and_hash_equal(self):
         assert ChildSet((0, 2, 1)) == ChildSet((0, 1, 2))
         assert hash(ChildSet((0, 2, 1))) == hash(ChildSet((0, 1, 2)))

@@ -316,6 +316,13 @@ class TestSampler:
         # one run of at most n rows keeps every row: S={0,1,2} has n/2 rows
         assert len(count_vector_table(S012, n).weights) == n // 2
 
+    def test_cycle_lemma_table_is_no_tuple(self):
+        # a tuple would compare equal to its fields and unpack silently
+        table = count_vector_table(S012, 9)
+        assert not isinstance(table, tuple)
+        assert table == count_vector_table(S012, 9)
+        assert table != (table.starts, table.vectors, table.weights, table.total, 1, 2)
+
     def test_rejects_codes_it_never_draws(self):
         for child_set in (S012, ChildSet((0, 1, 2, 3)), ChildSet((0, 1, 2, 3, 4))):
             sampler = TreeSampler(child_set, 4)
