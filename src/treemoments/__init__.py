@@ -25,7 +25,6 @@ from .errors import (
     EnumerationTooLarge,
     InsufficientData,
     InvalidCorrelation,
-    InvalidQuery,
     LeadingCoefficientZero,
     NonUnitConstantTerm,
     NoTrees,
@@ -91,7 +90,6 @@ __all__ = [
     "DegenerateVariance",
     "EnumerationTooLarge",
     "NonUnitConstantTerm",
-    "InvalidQuery",
     "InvalidCorrelation",
     "InsufficientData",
     "LeadingCoefficientZero",

@@ -46,6 +46,24 @@ class ChildSet(Value):
     def max_count(self) -> int:
         return self.elements[-1]
 
+    def within(self, n: int) -> ChildSet:
+        """The elements below n: all a vertex of an n-vertex tree can use."""
+        return self if self.max_count < n else ChildSet(e for e in self.elements if e < n)
+
+    def check_statistics(self, s1: int, p1: int, s2: int | None = None, p2: int = 0) -> None:
+        """Reject a bad statistic X_{s1}^p1 * X_{s2}^p2 with ValueError.
+
+        The engine and the oracles share these rules; s2 may equal s1.
+        """
+        if p1 < 0 or p2 < 0:
+            raise ValueError("powers must be nonnegative")
+        if s1 not in self:
+            raise ValueError(f"s1={s1} not in child set {self}")
+        if s2 is None and p2 != 0:
+            raise ValueError("p2 must be 0 when s2 is absent")
+        if s2 is not None and s2 not in self:
+            raise ValueError(f"s2={s2} not in child set {self}")
+
     def index(self, value: int) -> int:
         """Position of ``value`` in the sorted element tuple."""
         return self.elements.index(value)

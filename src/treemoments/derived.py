@@ -150,6 +150,7 @@ def count_range(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
 
 
 def _count_steps(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
+    child_set = child_set.within(hi)  # no tree on hi vertices has more children
     ode = count_ode(child_set, len(child_set) * (lo + hi) * (hi - lo + 1) // 20)
     if ode is None:
         for n in range(lo, hi + 1):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from operator import add
 
 from .childset import ChildSet
-from .errors import InvalidQuery
 from .polyint import exact_div, falling_factorial, poly_pow_coeffs, stirling2
 from .values import Value
 
@@ -38,21 +37,11 @@ def check_query(
 ) -> None:
     """Reject a bad N_{p1,p2}(X_{n,s1}, X_{n,s2}) request with ValueError.
 
-    s1 == s2 with both powers positive raises InvalidQuery, a DomainError.
+    Past n >= 1 the rules are ChildSet.check_statistics; s2 may equal s1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    if s1 not in child_set:
-        raise ValueError(f"s1={s1} not in child set {child_set}")
-    if s2 is None:
-        if p2 != 0:
-            raise ValueError("p2 must be 0 when s2 is absent")
-    elif s2 not in child_set:
-        raise ValueError(f"s2={s2} not in child set {child_set}")
-    elif s2 == s1 and p1 > 0 and p2 > 0:
-        raise InvalidQuery("s1 == s2 with both powers positive; merge the powers first")
+    child_set.check_statistics(s1, p1, s2, p2)
 
 
 class NumeratorQuery(Value):
@@ -139,8 +128,14 @@ def numerator_grid(
     One power phi^(n-k_hi), k_hi = max_p1+max_p2, is computed; each smaller
     k multiplies the previous power by phi, |S| additions per coefficient.
     Every grid cell is then a short Stirling-weighted sum of coefficients.
+    With s2 == s1, N_{a,b} is N_{a+b} of s1 alone.  Child counts of n or
+    more occur in no tree on n vertices, so the work is sized by n.
     """
     check_query(child_set, n, s1, max_p1, s2, max_p2)
+    if s2 == s1:
+        merged = numerator_grid(child_set, n, s1, None, max_p1 + max_p2, 0)
+        return {(a, b): merged[(a + b, 0)] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
+    child_set = child_set.within(n)
     phi = child_set.offspring_polynomial()
     t2 = 0 if s2 is None else s2
     k_hi = min(max_p1 + max_p2, n)

@@ -36,10 +36,6 @@ class NonUnitConstantTerm(DomainError):
     """The coefficient recurrence for powers requires constant term 1."""
 
 
-class InvalidQuery(DomainError):
-    """A numerator query mixes indices in an unsupported way."""
-
-
 class InvalidCorrelation(DomainError):
     """A squared correlation outside [0, 1] was supplied."""
 

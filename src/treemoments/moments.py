@@ -15,9 +15,10 @@ is C N00^(a'+b'-1) / (V1^a' V2^b') * sqrt(R) in the radicand class
 R = N00^(e1+e2) / (V1^e1 V2^e2).  R is a rational square exactly when
 (N00 V1)^e1 (N00 V2)^e2 is a perfect square, decided once per class: at
 most three wide isqrt calls per grid.  A cell then renders with one divmod
-or one isqrt of about 2*digits digits (render.format_cell).  A Fraction or
-SqrtExpr is built only for a printed raw or central cell, or on first
-access to ScaledMoment.square, .exact or .value.  rho = alpha_{1,1}.
+or one isqrt of about 2*digits digits (render.format_cell).  A Fraction is
+built only for a printed raw or central cell, and a Fraction or SqrtExpr on
+first access to ScaledMoment.square, .exact or .value.  rho = alpha_{1,1},
+which is 1 when s2 == s1: then alpha_{a,b} = alpha_{a+b}.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class MomentSpec(Value):
     ) -> None:
         if max_p2 is None:
             max_p2 = 2 if s2 is not None else 0
-        if s2 == s1:
-            raise ValueError("s1 and s2 must be distinct")
         check_query(child_set, n, s1, max_p1, s2, max_p2)
         self._set(child_set, n, s1, s2, max_p1, max_p2)
 

@@ -112,22 +112,6 @@ def child_count_distribution(
     return _count_distribution(child_set, n)
 
 
-def _check_statistics(
-    child_set: ChildSet, s1: int, p1: int, s2: int | None, p2: int
-) -> None:
-    """The statistic and power rules of engine.check_query, with its messages,
-    restated here so that the oracle never imports the engine."""
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    if s1 not in child_set:
-        raise ValueError(f"s1={s1} not in child set {child_set}")
-    if s2 is None:
-        if p2 != 0:
-            raise ValueError("p2 must be 0 when s2 is absent")
-    elif s2 not in child_set:
-        raise ValueError(f"s2={s2} not in child set {child_set}")
-
-
 def oracle_numerator(
     child_set: ChildSet,
     n: int,
@@ -138,7 +122,7 @@ def oracle_numerator(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Direct summation of X_{s1}^p1 * X_{s2}^p2 over all enumerated trees."""
-    _check_statistics(child_set, s1, p1, s2, p2)
+    child_set.check_statistics(s1, p1, s2, p2)
     dist = child_count_distribution(child_set, n, cap)
     i1 = child_set.index(s1)
     i2 = None if s2 is None else child_set.index(s2)
@@ -176,6 +160,7 @@ def joint_gf_fixpoint(
     elements = child_set.elements
     width = len(elements)
     zero_exp = (0,) * width
+    top = min(child_set.max_count, n_max - 1)  # x * f^exp starts at x^(exp+1)
     # series[n] maps exponent vector over (y_s) to an integer coefficient
     series: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
 
@@ -199,7 +184,7 @@ def joint_gf_fixpoint(
         current: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
         current[0][zero_exp] = 1  # running power f^exp, starting at f^0
         new: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
-        for exp in range(child_set.max_count + 1):
+        for exp in range(top + 1):
             if exp in child_set:
                 mark_idx = elements.index(exp)  # y_exp marks the root
                 for deg in range(n_max):
@@ -209,7 +194,7 @@ def joint_gf_fixpoint(
                         key[mark_idx] += 1
                         key = tuple(key)
                         bucket[key] = bucket.get(key, 0) + coeff
-            if exp < child_set.max_count:
+            if exp < top:
                 current = mul(current, series)
         series = new
 
@@ -331,9 +316,9 @@ def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
     step, drop = last // g, inner // g  # inner count +step, last count -drop
     runs = []
     for outer, budget in _outer_counts(outer_coords, n - 1):
-        # smallest inner count that leaves a multiple of last for the last
-        x = next((x for x in range(step) if (budget - inner * x) % last == 0), None)
-        if x is not None and inner * x <= budget:
+        # smallest x with inner * x = budget (mod last), if g divides budget
+        x = budget // g * pow(drop, -1, step) % step
+        if budget % g == 0 and inner * x <= budget:
             runs.append((outer, x, (budget - inner * x) // last))
     # a run ends where the last count drops below drop
     stride = -(-sum(k_last // drop + 1 for _, _, k_last in runs) // n)
@@ -413,8 +398,8 @@ class _RecursiveMethod:
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
         self.n = n
-        self.elements = child_set.elements
-        max_c = child_set.max_count
+        self.elements = child_set.within(n).elements  # larger counts weigh 0
+        max_c = max(1, self.elements[-1])
         # conv[i][t] = number of forests of i ordered trees with t vertices;
         # a forest of one tree is a tree, so conv[1] is the tree counts f
         conv = [[0] * (n + 1) for _ in range(max_c + 1)]
@@ -502,10 +487,10 @@ class TreeSampler:
     For |S| <= CYCLE_LEMMA_MAX_SET it uses the cycle lemma (Dvoretzky &
     Motzkin 1947; Devroye 2012): draw a child-count vector with weight
     multinomial(n; k), shuffle, and rotate to the one valid code.  For larger
-    S it uses the recursive method, whose one table holds (max S + 1)(n + 1)
-    forest counts whatever |S| is.  All
-    weights are exact integers, so there is no rejection and no floating
-    point on either path.
+    S it uses the recursive method, whose one table holds at most max(2, n)
+    rows of n + 1 forest counts whatever S is; S picks the method, so
+    dropping counts of n or more changes no draw.  All weights are exact
+    integers, so there is no rejection and no floating point on either path.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
@@ -563,7 +548,7 @@ def monte_carlo_moment(
     """Estimate E[X_{s1}^p1 * X_{s2}^p2] from seeded uniform samples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_statistics(child_set, s1, p1, s2, p2)
+    child_set.check_statistics(s1, p1, s2, p2)
     sampler = TreeSampler(child_set, n)
     rng = Random(rng_seed)
     total = 0

@@ -285,6 +285,22 @@ def test_recursive_sampler_memory_does_not_grow_with_draws():
     assert peak < 40.0
 
 
+def test_sampler_memory_grows_with_n_not_with_max_s():
+    # a vertex of an n-vertex tree has at most n - 1 children; a forest
+    # table with max(S) + 1 rows took 114.5 MB here
+    peak, code = _peak_rss_mb("sample -S 0,1,2,3,1000000 -n 3".split())
+    assert code == 0
+    assert peak < 40.0
+
+
+def test_count_range_memory_grows_with_n_not_with_max_s():
+    # a dense offspring polynomial up to max(S) and an ODE search over
+    # orders up to max(S) took 56.8 MB here
+    peak, code = _peak_rss_mb("count -S 0,1,10000 -n 1..20".split())
+    assert code == 0
+    assert peak < 40.0
+
+
 def test_cycle_lemma_table_memory_is_quadratic_in_bits():
     # one full-size cumulative weight per row of the |S| = 4 table would be
     # O(n^3) bits, about 233 MB here

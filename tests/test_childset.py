@@ -53,5 +53,12 @@ class TestAccessors:
         assert ChildSet((0, 2)).offspring_polynomial() == [1, 0, 1]
         assert ChildSet((0,)).offspring_polynomial() == [1]
 
+    def test_within_keeps_the_elements_below_n(self):
+        s = ChildSet((0, 1, 5, 10**12))
+        assert s.within(10**12 + 1) is s
+        assert s.within(6).elements == (0, 1, 5)
+        assert s.within(5).elements == (0, 1)
+        assert s.within(1).elements == (0,)
+
     def test_str(self):
         assert str(ChildSet((0, 1, 2))) == "{0,1,2}"

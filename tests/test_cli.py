@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -273,7 +275,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            "moments -S 0,1,2 -n 5 --s1 0 --s2 0",
             "moments -S 0,1,2 -n 5 --s1 0 --max-p 2,1",
             "normal-compare -S 0,1,2 -n 5 --s1 0 --s2 3",
             "scaled -S 0,1,2 -n 5 --s1 0 --p 2,2",
@@ -305,14 +306,39 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: usage:")
 
-    def test_same_statistic_twice_stays_a_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._HANDLERS, "numerator", lambda args, out: pytest.fail())
+    def test_same_statistic_twice_prints_the_merged_numerator(self, capsys):
+        pair = "numerator -S 0,1,2 -n 5 --s1 0 --s2 0 --p 1,1".split()
+        assert run(capsys, *pair) == (0, "43\n", "")
+        code, out, err = run(capsys, *pair[:4], "1..6", *pair[5:], "--format", "csv")
+        assert (code, err) == (0, "")
+        _, merged, _ = run(capsys, *"numerator -S 0,1,2 -n 1..6 --s1 0 --p 2 --format csv".split())
+        # the same numerator column; the pair's rows name both statistics
+        assert [row.rsplit(",", 1)[1] for row in out.splitlines()] == [
+            row.rsplit(",", 1)[1] for row in merged.splitlines()
+        ]
+
+    def test_same_statistic_twice_gives_moment_tables(self, capsys):
         code, out, err = run(
-            capsys, "numerator", "-S", "0,1,2", "-n", "5", "--s1", "0", "--s2", "0",
-            "--p", "1,1",
+            capsys, "moments", "-S", "0,1,2", "-n", "30", "--s1", "0", "--s2", "0",
+            "--digits", "6",
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: InvalidQuery:")
+        assert (code, err) == (0, "")
+        rows = {tuple(line.split()[:2]): line.split()[-1] for line in out.splitlines()[1:]}
+        assert rows[("1", "1")] == "1.000000"  # rho = 1
+        assert rows[("2", "2")] == "2.950574"  # alpha_4
+
+    def test_same_statistic_twice_gaps_are_one_statistic_gaps(self, capsys):
+        code, out, err = run(
+            capsys, "normal-compare", "-S", "0,1,2,3", "-n", "20", "--s1", "2", "--s2", "2",
+            "--max-p", "3,3", "--digits", "20",
+        )
+        assert (code, err) == (0, "")
+        for line in out.splitlines()[1:]:
+            p1, p2, alpha, normal, gap = line.split()
+            k = int(p1) + int(p2)
+            double_factorial = 0 if k % 2 else math.prod(range(k - 1, 0, -2))
+            assert Fraction(normal) == double_factorial, line
+            assert Fraction(gap) == Fraction(alpha) - double_factorial, line
 
 
 class TestGuessRec:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from treemoments import (
     ChildSet,
-    InvalidQuery,
     NumeratorQuery,
     count_trees,
     numerator_grid,
@@ -81,11 +80,16 @@ class TestNumerators:
     def test_empty_class_gives_zero(self):
         assert numerator_mixed(NumeratorQuery(S02, 4, 0, 1)) == 0
 
-    def test_same_statistic_twice_rejected(self):
-        with pytest.raises(InvalidQuery):
-            NumeratorQuery(S012, 5, 0, 1, 0, 1)
-        with pytest.raises(InvalidQuery):
-            numerator_grid(S012, 5, 0, 0, 1, 1)
+    def test_same_statistic_twice_merges_powers(self):
+        # X_0^1 * X_0^1 is X_0^2
+        assert numerator_mixed(NumeratorQuery(S012, 5, 0, 1, 0, 1)) == 43
+        assert numerator_mixed(NumeratorQuery(S012, 5, 0, 2)) == 43
+        merged = numerator_grid(S012, 9, 1, None, 5, 0)
+        assert numerator_grid(S012, 9, 1, 1, 2, 3) == {
+            (a, b): merged[(a + b, 0)] for a in range(3) for b in range(4)
+        }
+        table = numerator_sequence(S012, 0, 0, 1, 2, 8)
+        assert table.sequence(1, 2) == numerator_sequence(S012, 0, None, 3, 0, 8).sequence(3)
 
     def test_second_power_needs_second_statistic(self):
         with pytest.raises(ValueError):

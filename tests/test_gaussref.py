@@ -1,7 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -10,9 +10,11 @@ from treemoments import (
     DegenerateVariance,
     InvalidCorrelation,
     MomentSpec,
+    SqrtExpr,
     normal_mixed_moment_eval,
     normal_mixed_moment_poly,
     normality_gap_report,
+    scaled_moment,
 )
 
 S0123 = ChildSet((0, 1, 2, 3))
@@ -191,6 +193,20 @@ class TestGapReport:
             roots = row.alpha.terms + (-row.reference).terms
             expected = bracket_round(-row.reference.rational, roots, 30)
             assert Fraction(row.gap_text) == Fraction(expected, 10**30), cell
+
+    def test_repeated_statistic_gaps_are_one_statistic_gaps(self):
+        # rho = 1, so M(p1, p2) = E[Z^k] = (k-1)!! for k = p1 + p2 even, else 0
+        spec = MomentSpec(S0123, 16, 1, 1)
+        report = normality_gap_report(spec, 4, 4, digits=25)
+        assert report.rho.exact == 1
+        for row in report.rows:
+            k = row.p1 + row.p2
+            single = scaled_moment(MomentSpec(S0123, 16, 1), k, digits=25)
+            reference = 0 if k % 2 else prod(range(k - 1, 0, -2))
+            assert row.alpha_text == single.text
+            assert row.reference.as_rational() == reference
+            assert row.gap == single.value - SqrtExpr.from_rational(reference)
+            assert row.gap_text == row.gap.render(25)
 
     def test_requires_pair(self):
         with pytest.raises(ValueError):

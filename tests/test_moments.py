@@ -45,13 +45,12 @@ def oracle_central(child_set, n, s1, s2, p1, p2):
 
 
 class TestSpecValidation:
-    def test_statistics_must_be_members_and_distinct(self):
+    def test_statistics_must_be_members(self):
         with pytest.raises(ValueError):
             MomentSpec(S012, 5, 7)
         with pytest.raises(ValueError):
             MomentSpec(S012, 5, 0, 7)
-        with pytest.raises(ValueError):
-            MomentSpec(S012, 5, 1, 1)
+        assert MomentSpec(S012, 5, 1, 1).s2 == 1  # a repeated statistic is a pair
 
     def test_pair_defaults(self):
         assert MomentSpec(S012, 5, 0).max_p2 == 0
@@ -152,6 +151,22 @@ class TestScaledMoments:
         assert sm.square > 0
         assert sm.sign in (-1, 1)
         assert sm.value.render(8) == sm.text
+
+    @pytest.mark.parametrize("child_set, n, s", [(S012, 30, 0), (S012, 17, 1), (S0123, 14, 3)])
+    def test_repeated_statistic_is_the_one_statistic_moment(self, child_set, n, s):
+        pair = moment_report(MomentSpec(child_set, n, s, s, 3, 3), digits=12)
+        single = moment_report(MomentSpec(child_set, n, s, None, 6), digits=12)
+        for (a, b), cell in pair.scaled.items():
+            assert cell.text == single.scaled[(a + b, 0)].text, (a, b)
+            assert pair.raw[(a, b)] == single.raw[(a + b, 0)]
+            assert pair.central[(a, b)] == single.central[(a + b, 0)]
+        assert pair.correlation_rho.exact == 1
+        assert correlation(MomentSpec(child_set, n, s, s)).exact == 1
+
+    def test_repeated_statistic_pins_alpha_4_at_n30(self):
+        spec = MomentSpec(S012, 30, 0, 0)
+        assert scaled_moment(spec, 2, 2, digits=6).text == "2.950574"
+        assert scaled_moment(MomentSpec(S012, 30, 0), 4, digits=6).text == "2.950574"
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance, match=r"X_0 .*n=2"):

@@ -18,6 +18,7 @@ from treemoments import (
     is_valid_code,
     joint_gf_fixpoint,
     monte_carlo_moment,
+    numerator_grid,
     oracle_numerator,
     sample_tree_uniform,
 )
@@ -168,6 +169,15 @@ def test_oracles_merge_powers_of_one_statistic():
     pair = monte_carlo_moment(S012, 6, 1, 1, 1, 2, samples=50, rng_seed=4)
     merged = monte_carlo_moment(S012, 6, 1, 3, samples=50, rng_seed=4)
     assert (pair.mean, pair.variance) == (merged.mean, merged.variance)
+
+
+@pytest.mark.parametrize("child_set", FAMILY, ids=str)
+def test_engine_merges_a_repeated_statistic_as_the_oracle_does(child_set):
+    for n in range(1, 11):
+        for s in child_set:
+            grid = numerator_grid(child_set, n, s, s, 3, 3)
+            for (a, b), value in grid.items():
+                assert value == oracle_numerator(child_set, n, s, a, s, b), (n, s, a, b)
 
 
 class TestFixpoint:
