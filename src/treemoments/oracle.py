@@ -42,8 +42,16 @@ def is_valid_code(child_set: ChildSet, code) -> bool:
     return open_slots == 0
 
 
+_DIGITS = {c: str(c) for c in range(10)}
+
+
 def format_code(code) -> str:
-    return " ".join(str(c) for c in code)
+    """The child counts of a code joined by spaces."""
+    code = tuple(code)  # read again through str when a count is outside 0..9
+    try:
+        return " ".join(map(_DIGITS.__getitem__, code))
+    except KeyError:
+        return " ".join(map(str, code))
 
 
 def parse_code(line: str) -> TreeCode:
@@ -216,8 +224,9 @@ def joint_gf_fixpoint(
 CYCLE_LEMMA_MAX_SET = 4
 
 
-def _multinomial(n: int, counts) -> int:
-    return math.factorial(n) // math.prod(map(math.factorial, counts))
+def _multinomial(n_fact: int, counts) -> int:
+    """n!/prod(k!) over counts k summing to n, given n_fact = n!."""
+    return n_fact // math.prod(map(math.factorial, counts))
 
 
 def _outer_counts(coords, budget: int):
@@ -303,13 +312,14 @@ def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
     checkpoint.
     """
     elements = child_set.elements
+    n_fact = math.factorial(n)
     if len(elements) <= 2:  # S = {0} or {0, s}: at most one vector
         s = elements[-1]
         k = (n - 1) // s if s else 0
         if s * k != n - 1:
             return CountVectorTable([], [], [], 0, 0, 0)
         vector = (n - k, k) if s else (n,)
-        weight = _multinomial(n, vector)
+        weight = _multinomial(n_fact, vector)
         return CountVectorTable([0], [vector], [weight], weight, 0, 0)
     *outer_coords, inner, last = elements[1:]
     g = math.gcd(inner, last)
@@ -328,7 +338,7 @@ def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
     acc = 0
     for outer, x, k_last in runs:
         k_zero = n - sum(outer) - x - k_last
-        weight = _multinomial(n, (k_zero, *outer, x, k_last))
+        weight = _multinomial(n_fact, (k_zero, *outer, x, k_last))
         for row in range(k_last // drop + 1):
             if row:
                 k_zero, x, k_last, weight = _next_row(k_zero, x, k_last, weight, step, drop)
@@ -351,14 +361,28 @@ def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
     return tuple(seq[cut:] + seq[:cut])
 
 
+def _shuffle(rng: Random, seq: list) -> None:
+    """rng.shuffle(seq), inline: the same words from rng.getrandbits, the
+    same swaps.  Each j below i + 1 is drawn as Random._randbelow draws it:
+    a word of (i + 1).bit_length() bits, redrawn while it exceeds i."""
+    getrandbits = rng.getrandbits
+    for i in range(len(seq) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
 class _CycleLemma:
     """Draw a count vector by weight, shuffle its multiset, rotate to a tree.
 
     Shuffling makes every sequence with counts k equally likely, so a
     sequence has probability 1/W for W = n * f_n, and each tree is the
     rotation of exactly n sequences: probability n/W = 1/f_n.  The vector
-    comes from one randrange(W) draw picked through count_vector_table's
-    checkpoints.
+    comes from one draw below W picked through count_vector_table's
+    checkpoints.  Both draws take the words rng.randrange(W) and
+    rng.shuffle would take, so a seed draws the same trees as those calls.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
@@ -368,16 +392,21 @@ class _CycleLemma:
         if not self.table.total:
             raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
         self.total = self.table.total
+        self.bits = self.total.bit_length()
 
     def sample(self, rng: Random) -> TreeCode:
-        counts = self.table.pick(rng.randrange(self.total))
+        getrandbits = rng.getrandbits
+        r = getrandbits(self.bits)
+        while r >= self.total:  # rng.randrange(self.total), inline
+            r = getrandbits(self.bits)
+        counts = self.table.pick(r)
         seq = list(chain.from_iterable(map(repeat, self.elements, counts)))
-        rng.shuffle(seq)
+        _shuffle(rng, seq)
         return _lukasiewicz_rotation(seq)
 
     def decision_probability(self, code) -> Fraction:
         counts = tuple(code.count(s) for s in self.elements)
-        weight = _multinomial(self.n, counts)
+        weight = _multinomial(math.factorial(self.n), counts)
         # distinct shuffles that the rotation rule turns into this code
         rotations = {code[i:] + code[:i] for i in range(self.n)}
         hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
@@ -490,7 +519,8 @@ class TreeSampler:
     S it uses the recursive method, whose one table holds at most max(2, n)
     rows of n + 1 forest counts whatever S is; S picks the method, so
     dropping counts of n or more changes no draw.  All weights are exact
-    integers, so there is no rejection and no floating point on either path.
+    integers: no tree is ever rejected, neither path uses floating point,
+    and the cycle lemma takes the words rng.randrange and rng.shuffle would.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:

@@ -479,6 +479,14 @@ class TestSample:
         _, b, _ = run(capsys, "sample", "-S", "0,1,2", "-n", "40", "--seed", "2", "--count", "3")
         assert a != b
 
+    def test_text_codes_with_a_two_digit_count_match_json(self, capsys):
+        argv = ("sample", "-S", "0,1,10", "-n", "23", "--count", "2", "--seed", "1")
+        _, text, _ = run(capsys, *argv)
+        _, rows, _ = run(capsys, *argv, "--format", "json")
+        codes = [json.loads(line)["code"] for line in rows.splitlines()]
+        assert all(10 in code for code in codes)  # each line takes the fallback
+        assert text == "".join(" ".join(map(str, code)) + "\n" for code in codes)
+
     def test_no_trees_to_sample(self, capsys):
         code, _, err = run(capsys, "sample", "-S", "0,2", "-n", "4")
         assert code == 2

@@ -6,6 +6,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from treemoments import (
     ChildSet,
@@ -22,7 +24,15 @@ from treemoments import (
     oracle_numerator,
     sample_tree_uniform,
 )
-from treemoments.oracle import _outer_counts, count_vector_table, format_code, parse_code
+from treemoments.oracle import (
+    _CycleLemma,
+    _lukasiewicz_rotation,
+    _outer_counts,
+    _shuffle,
+    count_vector_table,
+    format_code,
+    parse_code,
+)
 
 S012 = ChildSet((0, 1, 2))
 S02 = ChildSet((0, 2))
@@ -86,6 +96,24 @@ class TestValidity:
         code = (2, 1, 0, 0)
         assert format_code(code) == "2 1 0 0"
         assert parse_code("2 1 0 0") == code
+        assert format_code(iter([2, 10, 0])) == "2 10 0"  # the fallback rereads it
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(min_value=-20, max_value=2_000_000)),
+            st.lists(st.integers(min_value=0, max_value=12)).map(tuple),
+        )
+    )
+    @example(())
+    @example((0,))
+    @example((10,))
+    @example([3, 1_000_000, 0])
+    @example((2, -1, 0))
+    def test_format_code_matches_str_join_past_one_digit(self, code):
+        # one-digit counts go through a table, anything else through str
+        assert format_code(code) == " ".join(map(str, code))
+        if all(c >= 0 for c in code):
+            assert parse_code(format_code(code)) == tuple(code)
 
 
 class TestEnumeration:
@@ -239,6 +267,46 @@ class TestSampler:
     def test_no_trees_raises(self):
         with pytest.raises(NoTrees):
             TreeSampler(S02, 4)
+
+    # If a CPython release changes how shuffle or randrange take words from
+    # getrandbits, these two tests fail where the digest pins only differ.
+    def test_inline_shuffle_takes_the_words_random_shuffle_takes(self):
+        lengths = sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 11) for d in (-1, 0, 1)})
+        assert lengths[-1] == 1025
+        for seed in range(200):
+            for length in lengths:
+                mine, theirs = Random(seed), Random(seed)
+                xs, ys = list(range(length)), list(range(length))
+                _shuffle(mine, xs)
+                theirs.shuffle(ys)
+                assert xs == ys, (seed, length)
+                assert mine.getstate() == theirs.getstate(), (seed, length)
+
+    def test_inline_pick_draw_takes_the_words_randrange_takes(self):
+        sampler = _CycleLemma(S012, 700)
+        total = sampler.total
+        assert 3**690 < total < 3**700  # about 3^696
+        table = sampler.table
+        picked = []
+
+        class Recording:  # records each draw and the rng state right after it
+            def pick(self, r):
+                picked.append((r, rng.getstate()))
+                return table.pick(r)
+
+        sampler.table = Recording()
+        redrawn = 0
+        for seed in range(200):
+            rng = Random(seed)
+            code = sampler.sample(rng)
+            theirs = Random(seed)
+            assert picked[-1] == (theirs.randrange(total), theirs.getstate()), seed
+            seq = [c for c, k in zip(S012.elements, table.pick(picked[-1][0])) for _ in range(k)]
+            theirs.shuffle(seq)
+            assert rng.getstate() == theirs.getstate(), seed
+            assert code == _lukasiewicz_rotation(seq), seed
+            redrawn += Random(seed).getrandbits(total.bit_length()) >= total
+        assert redrawn  # some seeds take the redraw loop
 
     def test_decision_probabilities_are_exactly_uniform(self):
         # the sampler's chance of emitting any given tree is exactly 1/f_n;

@@ -143,3 +143,24 @@ def test_sample_stdout_is_pinned(child_set, n):
                 code = main(argv)
             digest.update(f"{fmt} {seed} {code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == DIGESTS[(child_set, n)]
+
+
+# sha256 of the text stdout alone, at the sizes perfbench's large-sample
+# workload draws at: {0,1,2,3} at n = 800 keeps every 67th row of a run
+# (stride above 1), so pick rebuilds rows between checkpoints.
+LARGE_DIGESTS = {
+    "sample -S 0,1,2 -n 2000 --count 3 --seed 1":
+        "61dd4092d0170426f080d475d2ee057361c421bdeec7006962c7f2dd16164125",
+    "sample -S 0,1,2,3 -n 800 --count 3 --seed 4":
+        "b3e1178116ee511372154fbd5aab0a26d4510e1d516d4953ad2d0b20025da394",
+    "sample -S 0,1,5 -n 1201 --count 3 --seed 0":
+        "55cb7271408e9f5fbda701cdf0bb9a0a7aa6f520285a453838422162f0863683",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_DIGESTS))
+def test_large_sample_stdout_is_pinned(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LARGE_DIGESTS[command]
