@@ -161,19 +161,17 @@ def numerator_grid(
     for a in range(max_p1 + 1):
         for b in range(max_p2 + 1):
             total = 0
-            for k1 in range(a + 1):
+            # terms with k1 + k2 > n vanish with ff(n, k1 + k2)
+            for k1 in range(min(a, n) + 1):
                 w1 = stirling2(a, k1)
                 if w1 == 0:
                     continue
-                for k2 in range(b + 1):
+                for k2 in range(min(b, n - k1) + 1):
                     w2 = stirling2(b, k2)
                     if w2 == 0:
                         continue
-                    k = k1 + k2
-                    if k > n:
-                        continue
-                    ff = falling_factorial(n, k)
-                    total += w1 * w2 * ff * coeff_at(k, n - 1 - k1 * s1 - k2 * t2)
+                    ff = falling_factorial(n, k1 + k2)
+                    total += w1 * w2 * ff * coeff_at(k1 + k2, n - 1 - k1 * s1 - k2 * t2)
             value = exact_div(total, n)
             if value < 0:
                 raise ArithmeticError(f"negative numerator N_{a},{b}({n}) = {value}")

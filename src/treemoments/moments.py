@@ -7,8 +7,8 @@ children.  MomentGrid reads one numerator grid N[a,b] = N00 E[X1^a X2^b]
     C[a,b] = sum_{r,t} C(a,r) C(b,t) (-N10)^r (-N01)^t N00^(k-r-t) N[a-r,b-t]
     m_{a,b} = C[a,b] / N00^(k+1),  var1 = V1 / N00^3,  var2 = V2 / N00^3,
 
-with V1 = C[2,0] and V2 = C[0,2]; C comes from two one-dimensional
-binomial passes over all cells.  The scaled moment
+with V1 = C[2,0] and V2 = C[0,2].  Each C[a,b] is computed when first asked
+for, by a Horner pass along b of each row and one along a.  The scaled moment
 alpha_{a,b} = m_{a,b} / (var1^(a/2) var2^(b/2)) has
 alpha^2 = C^2 N00^(k-2) / (V1^a V2^b), so with a = 2a'+e1, b = 2b'+e2 it
 is C N00^(a'+b'-1) / (V1^a' V2^b') * sqrt(R) in the radicand class
@@ -59,21 +59,14 @@ class MomentSpec(Value):
         self._set(child_set, n, s1, s2, max_p1, max_p2)
 
 
-def _central_numerators(grid: dict[tuple[int, int], int], max_p1: int, max_p2: int):
-    """C[a,b] for every cell: a binomial pass along b, then one along a."""
-    n00 = grid[(0, 0)]
-
-    def shift(rows: list[list[int]], mean: int) -> list[list[int]]:
-        # out[j] = sum_r C(j,r) (-mean)^r N00^(j-r) row[j-r], for each row
-        m = len(rows[0])
-        neg, base = [(-mean) ** r for r in range(m)], [n00**r for r in range(m)]
-        w = [[comb(j, r) * neg[r] * base[j - r] for r in range(j + 1)] for j in range(m)]
-        return [[sum(c * row[j - r] for r, c in enumerate(w[j])) for j in range(m)] for row in rows]
-
-    table = [[grid[(a, b)] for b in range(max_p2 + 1)] for a in range(max_p1 + 1)]
-    rows = shift(table, grid[(0, 1)] if max_p2 else 0)
-    cols = shift([list(col) for col in zip(*rows)], grid[(1, 0)] if max_p1 else 0)
-    return {(a, b): cols[b][a] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
+def _shift(values: list[int], n00: int, mean: int) -> int:
+    """sum_r C(j,r) (-mean)^r N00^(j-r) values[j-r], j = len(values) - 1, by Horner in N00."""
+    j = len(values) - 1
+    total, power = values[j], 1
+    for r in range(1, j + 1):
+        power *= -mean
+        total = total * n00 + comb(j, r) * power * values[j - r]
+    return total
 
 
 class MomentGrid:
@@ -84,17 +77,33 @@ class MomentGrid:
         if grid[(0, 0)] == 0:
             raise NoTrees(f"no trees on {spec.n} vertices for child set {spec.child_set}")
         self.spec, self.numerators, self.n00 = spec, grid, grid[(0, 0)]
-        # C[a,b], each computed once; V1 = N00^3 var1 and V2 = N00^3 var2
-        self.central_numerators = _central_numerators(grid, max_p1, max_p2)
-        self.v1 = self.central_numerators.get((2, 0))
-        self.v2 = self.central_numerators.get((0, 2))
+        # C[a,b], and per b the pass along b of each row a; all on first request
+        self._central: dict[tuple[int, int], int] = {}
+        self._along_b: dict[int, list[int]] = {}
         self._classes: dict[tuple[int, int], tuple[int, int, int | None]] = {}
+
+    v1 = property(lambda self: self.central_numerator(2, 0))  # V1 = N00^3 var1
+    v2 = property(lambda self: self.central_numerator(0, 2))  # V2 = N00^3 var2
+
+    def central_numerator(self, p1: int, p2: int) -> int:
+        """C[p1,p2], computed when first asked for and then kept."""
+        if (p1, p2) not in self._central:
+            self._central[(p1, p2)] = self._compute_central(p1, p2)
+        return self._central[(p1, p2)]
+
+    def _compute_central(self, p1: int, p2: int) -> int:
+        # the passes along b of rows 0..p1, kept for the column's other cells, then one along a
+        grid, rows = self.numerators, self._along_b.setdefault(p2, [])
+        for a in range(len(rows), p1 + 1):
+            row = [grid[(a, b)] for b in range(p2 + 1)]
+            rows.append(_shift(row, self.n00, grid.get((0, 1), 0)))
+        return _shift(rows[: p1 + 1], self.n00, grid.get((1, 0), 0))
 
     def raw(self, p1: int, p2: int) -> Fraction:
         return Fraction(self.numerators[(p1, p2)], self.n00)
 
     def central(self, p1: int, p2: int) -> Fraction:
-        return Fraction(self.central_numerators[(p1, p2)], self.n00 ** (p1 + p2 + 1))
+        return Fraction(self.central_numerator(p1, p2), self.n00 ** (p1 + p2 + 1))
 
     def radicand(self, cls: tuple[int, int]) -> tuple[int, int, int | None]:
         """(u, v, root): R = u/v, root = isqrt(u*v) if u*v is a square, else None."""
@@ -108,7 +117,7 @@ class MomentGrid:
     def alpha(self, p1: int, p2: int) -> Cell:
         """alpha_{p1,p2}; the variances it divides by must be positive."""
         (a1, e1), (a2, e2) = divmod(p1, 2), divmod(p2, 2)
-        num = self.central_numerators[(p1, p2)]
+        num = self.central_numerator(p1, p2)
         den = (self.v1**a1 if a1 else 1) * (self.v2**a2 if a2 else 1)
         if a1 + a2 == 0:
             return num, den * self.n00, (e1, e2)
@@ -126,7 +135,7 @@ class MomentGrid:
             return (0, 1, (0, 0)), alpha
         num, den, cls = alpha
         odd = cls[1]
-        c11 = self.central_numerators[(1, 1)]
+        c11 = self.central_numerator(1, 1)
         x, y = c11 * c11, self.v1 * self.v2  # rho^2 = x / y
         terms = coefficients[odd::2]
         total = sum(c * x**j * y ** (len(terms) - 1 - j) for j, c in enumerate(terms))

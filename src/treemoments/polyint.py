@@ -9,9 +9,10 @@ denominator.
 Everything operates on truncated power series: results carry coefficients
 up to a caller-supplied max_deg and drop higher terms.  poly_pow_coeffs
 also takes min_deg and then returns only the coefficients min_deg..max_deg.
-Its recurrence keeps just that window and the last deg(phi)
-coefficients, trimming in blocks, so a caller that needs the coefficients
-near max_deg holds O(max_deg) bits instead of O(max_deg**2).
+Its recurrence holds just that window and the deg(phi) coefficients below
+it: below min_deg each step drops its oldest coefficient.  So a caller that
+needs the coefficients near max_deg holds O(max_deg) bits instead of
+O(max_deg**2).
 
 Also houses the small combinatorial number helpers (Stirling numbers of the
 second kind, falling factorials) used to expand powers of the marking
@@ -66,11 +67,6 @@ def _pow_binary(phi: Poly, m: int, max_deg: int) -> Poly:
     return result
 
 
-# The recurrence computes this many coefficients between trims of its
-# window, so the per-coefficient loop carries no bookkeeping.
-_TRIM_BLOCK = 512
-
-
 def _pow_recurrence(phi: Poly, m: int, max_deg: int, min_deg: int) -> Poly:
     # From phi*(phi^m)' = m*phi'*phi^m:  j*c_j = sum_k b_k*((m+1)k - j)*c_{j-k}.
     if not phi or phi[0] != 1:
@@ -81,23 +77,19 @@ def _pow_recurrence(phi: Poly, m: int, max_deg: int, min_deg: int) -> Poly:
         return ([1] + [0] * max_deg)[min_deg:]
     (k1, b1, b1_m1k), *rest = support
     reach = support[-1][0]
-    # c_low..c_(j-1) before step j, so c_(j-k) is coeffs[-k]; the zeros
-    # c_(-reach)..c_(-1) let every step take every term, and the sum starts
-    # from its first term rather than from 0
+    # Before step j the list ends at c_(j-1), so c_(j-k) is coeffs[-k]; it
+    # starts at c_(j-reach-1) up to j = min_deg + 1 and at c_(min_deg-reach)
+    # after.  The zeros c_(-reach)..c_(-1) let every step take every term,
+    # and the sum starts from its first term rather than from 0.
     coeffs = [0] * reach + [1]
-    low = -reach
-    for block in range(1, max_deg + 1, _TRIM_BLOCK):
-        for j in range(block, min(block + _TRIM_BLOCK, max_deg + 1)):
-            acc = (b1_m1k - b1 * j) * coeffs[-k1]
-            for k, bk, bk_m1k in rest:
-                acc += (bk_m1k - bk * j) * coeffs[-k]
-            coeffs.append(exact_div(acc, j))
-        # keep c_min_deg on, and the last `reach` coefficients the next step needs
-        drop = min(min_deg, j + 1 - reach) - low
-        if drop > 0:
-            del coeffs[:drop]
-            low += drop
-    return coeffs[min_deg - low :]
+    for j in range(1, max_deg + 1):
+        acc = (b1_m1k - b1 * j) * coeffs[-k1]
+        for k, bk, bk_m1k in rest:
+            acc += (bk_m1k - bk * j) * coeffs[-k]
+        coeffs.append(exact_div(acc, j))
+        if j <= min_deg:
+            del coeffs[0]  # c_(j-reach-1): no later step reads it, and it is not returned
+    return coeffs[reach:]
 
 
 def poly_pow_coeffs(phi: Poly, m: int, max_deg: int, min_deg: int = 0) -> Poly:
@@ -106,7 +98,8 @@ def poly_pow_coeffs(phi: Poly, m: int, max_deg: int, min_deg: int = 0) -> Poly:
     Uses the first-order coefficient recurrence derived from
     phi*(phi^m)' = m*phi'*phi^m; it needs phi(0) == 1 and performs one
     exact small division per coefficient, holding only the coefficients
-    from min_deg on plus the last deg(phi).  _pow_binary, plain binary
+    from min_deg on plus the deg(phi) below them: below min_deg each step
+    drops the oldest coefficient it holds.  _pow_binary, plain binary
     exponentiation with truncation, is the independent reference the tests
     compare it against.
     """

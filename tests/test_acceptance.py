@@ -307,3 +307,22 @@ def test_cycle_lemma_table_memory_is_quadratic_in_bits():
     peak, code = _peak_rss_mb("sample -S 0,1,2,3 -n 2000 --count 10".split())
     assert code == 0
     assert peak < 40.0
+
+
+def test_count_holds_one_coefficient_window():
+    # a power kernel that trims its window every 512 coefficients held
+    # about 512 full-width coefficients here, 3.4 MB over `count -n 1`
+    floor, code = _peak_rss_mb("count -S 0,1,2 -n 1".split())
+    assert code == 0
+    peak, code = _peak_rss_mb("count -S 0,1,2 -n 30000".split())
+    assert code == 0
+    assert peak < floor + 1.0
+
+
+def test_scaled_moment_costs_its_cells_not_the_grid():
+    # a (p+1) x (p+1) table of binomial weights took 154 MB and 4.5 s here
+    t0 = time.perf_counter()
+    peak, code = _peak_rss_mb("scaled -S 0,1,2 -n 30 --s1 0 --p 400".split())
+    assert code == 0
+    assert peak < 40.0
+    assert time.perf_counter() - t0 < 2.0

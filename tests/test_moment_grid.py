@@ -258,16 +258,15 @@ class TestCost:
             return isqrt(value)
 
         centrals = []
-        original = moments._central_numerators
+        original = moments.MomentGrid._compute_central
 
-        def counting_central(grid, max_p1, max_p2):
-            result = original(grid, max_p1, max_p2)
-            centrals.append(len(result))
-            return result
+        def counting_central(grid, p1, p2):
+            centrals.append((p1, p2))
+            return original(grid, p1, p2)
 
         monkeypatch.setattr(render, "isqrt", counting_isqrt)
         monkeypatch.setattr(moments, "isqrt", counting_isqrt)
-        monkeypatch.setattr(moments, "_central_numerators", counting_central)
+        monkeypatch.setattr(moments.MomentGrid, "_compute_central", counting_central)
         return operands, centrals
 
     @pytest.mark.parametrize("report", [moment_report, normality_gap_report])
@@ -281,7 +280,22 @@ class TestCost:
         assert len(wide) <= 3  # one per radicand class (1,0), (0,1), (1,1)
         assert len([bits for bits in operands if bits > 2000]) <= 3
         assert len(operands) > len(wide)  # cells did render through small isqrts
-        assert centrals == [25]  # every central numerator computed once
+        # every central numerator computed exactly once
+        assert sorted(centrals) == [(a, b) for a in range(5) for b in range(5)]
+
+    @pytest.mark.parametrize(
+        "s2, p1, p2, cells",
+        [
+            (None, 400, 0, {(400, 0), (2, 0)}),
+            (None, 1, 0, {(1, 0), (2, 0)}),
+            (3, 3, 1, {(3, 1), (2, 0), (0, 2)}),
+            (3, 0, 2, {(0, 2)}),
+        ],
+    )
+    def test_scaled_moment_computes_only_the_cells_it_reads(self, spies, s2, p1, p2, cells):
+        _, centrals = spies
+        scaled_moment(MomentSpec(S0123, 30, 1, s2), p1, p2)
+        assert sorted(centrals) == sorted(cells)
 
     def test_exact_forms_are_built_on_first_access(self):
         spec = MomentSpec(S0123, 40, 1, 3, 3, 3)

@@ -1,4 +1,5 @@
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,21 @@ def naive_pow(phi, m, max_deg):
     out = [1]
     for _ in range(m):
         out = poly_mul_trunc(out, phi, max_deg)
+    return out
+
+
+def shifted_sum_pow(support, m, max_deg):
+    """(1 + sum of z**s over support)**m up to max_deg: m products, each a sum of shifts.
+
+    Dense powers near degree 1300 cost seconds through _pow_binary; this
+    costs m*max_deg*len(support) additions.
+    """
+    out = [1] + [0] * max_deg
+    for _ in range(m):
+        product = list(out)
+        for s in support:
+            product[s:] = map(add, product[s:], out[: max_deg + 1 - s])
+        out = product
     return out
 
 
@@ -70,8 +86,6 @@ class TestPowerCoefficients:
         max_deg=st.integers(min_value=0, max_value=1300),
         lo=st.integers(min_value=0, max_value=1300),
     )
-    # a window past the recurrence's first trim block
-    @example(support={1, 2, 6}, m=3, max_deg=1300, lo=1290)
     @settings(max_examples=60, deadline=None)
     def test_min_deg_returns_the_tail(self, support, m, max_deg, lo):
         phi = [1] + [0] * max(support, default=0)
@@ -81,6 +95,27 @@ class TestPowerCoefficients:
         full = _pow_binary(phi, m, max_deg)
         assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
         assert poly_pow_coeffs(phi, m, max_deg) == full
+
+    # numerator_grid asks for phi^(n-k_hi) up to degree n - 1: m >= max_deg
+    # keeps every coefficient up to max_deg that phi's support allows nonzero
+    @given(
+        support=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        max_deg=st.integers(min_value=0, max_value=1300),
+        extra=st.integers(min_value=0, max_value=8),
+        lo=st.integers(min_value=0, max_value=1300),
+    )
+    @example(support={1, 2}, max_deg=1300, extra=0, lo=0)  # min_deg = 0: nothing dropped
+    @example(support={6}, max_deg=1300, extra=1, lo=3)  # min_deg < deg(phi)
+    @example(support={2, 5}, max_deg=1299, extra=1, lo=4)
+    @example(support={1, 2, 6}, max_deg=1300, extra=0, lo=1300)  # min_deg = max_deg
+    @settings(max_examples=20, deadline=None)
+    def test_engine_shaped_powers(self, support, max_deg, extra, lo):
+        phi = [1] + [0] * max(support)
+        for s in support:
+            phi[s] = 1
+        m, lo = max_deg + extra, min(lo, max_deg)
+        full = shifted_sum_pow(support, m, max_deg)
+        assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
 
     def test_min_deg_outside_the_range_is_rejected(self):
         with pytest.raises(ValueError):
