@@ -12,7 +12,6 @@ exactly uniform random sampling.  All arithmetic is exact.
 from .childset import ChildSet
 from .derived import count_range
 from .engine import (
-    NumeratorQuery,
     NumeratorTable,
     count_trees,
     numerator_grid,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChildSet",
-    "NumeratorQuery",
     "NumeratorTable",
     "count_trees",
     "count_range",

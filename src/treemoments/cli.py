@@ -27,7 +27,7 @@ from random import Random
 
 from .childset import ChildSet
 from .derived import count_range
-from .engine import NumeratorQuery, count_trees, numerator_mixed, numerator_sequence
+from .engine import check_query, count_trees, numerator_mixed, numerator_sequence
 from .errors import DomainError
 from .gaussref import normality_gap_report
 from .moments import DEFAULT_DIGITS, MomentSpec, moment_report, scaled_moment
@@ -176,17 +176,17 @@ def _cmd_count(args: argparse.Namespace, out: TextIOBase) -> None:
 
 
 def _cmd_numerator(args: argparse.Namespace, out: TextIOBase) -> None:
-    query = args.query
     lo, hi = args.n
-    keys = ["s1", "p1"] if query.s2 is None else ["s1", "p1", "s2", "p2"]
+    p1, p2 = args.p
+    given = {"s1": args.s1, "p1": p1}
+    if args.s2 is not None:
+        given.update(s2=args.s2, p2=p2)
 
     def row(n: int) -> dict:
-        cells = {"n": n, **{key: getattr(query, key) for key in keys}}
-        at_n = NumeratorQuery(query.child_set, n, query.s1, query.p1, query.s2, query.p2)
-        cells["numerator"] = numerator_mixed(at_n)
-        return cells
+        value = numerator_mixed(args.child_set, n, args.s1, p1, args.s2, p2)
+        return {"n": n, **given, "numerator": value}
 
-    columns = ["n", *keys, "numerator"]
+    columns = ["n", *given, "numerator"]
     _per_n(args, out, columns, map(row, range(lo, hi + 1)), "numerator")
 
 
@@ -243,9 +243,9 @@ def _cmd_guess_rec(args: argparse.Namespace, out: TextIOBase) -> None:
     if args.stat == "count":
         seq = list(count_range(args.child_set, 1, args.terms))
     else:
-        q = args.query
-        table = numerator_sequence(q.child_set, q.s1, q.s2, q.p1, q.p2, q.n)
-        seq = table.sequence(q.p1, q.p2)
+        p1, p2 = args.p
+        table = numerator_sequence(args.child_set, args.s1, args.s2, p1, p2, args.terms)
+        seq = table.sequence(p1, p2)
     rec = guess_recurrence(seq, args.max_order, args.max_degree, margin=args.margin)
     if args.format == "json":
         if rec is None:
@@ -426,7 +426,7 @@ def build_parser() -> _Parser:
 
 
 def _check(parser: _Parser, args: argparse.Namespace) -> None:
-    """Usage checks that span arguments; the command's library query to args.query."""
+    """Usage checks that span arguments; a moment command's MomentSpec to args.query."""
     lo, hi = getattr(args, "n", (1, 1))
     if args.command in _SINGLE_N and lo != hi:
         parser.error(f"{args.command} takes a single n, not a range")
@@ -450,8 +450,8 @@ def _check(parser: _Parser, args: argparse.Namespace) -> None:
             if args.s1 is None:
                 parser.error("--stat numerator requires --s1")
             n = args.terms if args.command == "guess-rec" else lo
-            p1, p2 = args.p or (1, 0)
-            args.query = NumeratorQuery(args.child_set, n, args.s1, p1, args.s2, p2)
+            p1, p2 = args.p = args.p or (1, 0)
+            check_query(args.child_set, n, args.s1, p1, args.s2, p2)
     except ValueError as exc:
         parser.error(str(exc))
 

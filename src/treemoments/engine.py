@@ -18,17 +18,20 @@ zero.  numerator_grid computes one power phi^(n-k_hi) and each smaller k
 from the last by one multiplication by phi.  Everything is exact integer
 arithmetic; the leading division by n is checked to be exact.
 
-The count f_n is the cell N_{0,0}(n), so count_trees reads it from a
-one-cell grid; for a range of n, derived.count_range steps a recurrence
+Requests are plain arguments.  The count f_n is the cell N_{0,0}(n), so
+count_trees reads it from a one-cell grid, as numerator_mixed reads its
+cell; for counts at a range of n, derived.count_range steps a recurrence
 proved from u = x*phi(u) instead.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import add
 
 from .childset import ChildSet
-from .polyint import exact_div, falling_factorial, poly_pow_coeffs, stirling2
+# stirling2 stays bound for perfbench/tracer.py, which wraps it here; the grid reads rows
+from .polyint import exact_div, falling_factorial, poly_pow_coeffs, stirling2, stirling2_rows
 from .values import Value
 
 
@@ -44,25 +47,10 @@ def check_query(
     child_set.check_statistics(s1, p1, s2, p2)
 
 
-class NumeratorQuery(Value):
-    """One numerator request: N_{p1,p2}(X_{n,s1}, X_{n,s2})."""
-
-    __slots__ = ("child_set", "n", "s1", "p1", "s2", "p2")
-
-    def __init__(
-        self, child_set: ChildSet, n: int, s1: int, p1: int, s2: int | None = None, p2: int = 0
-    ) -> None:
-        check_query(child_set, n, s1, p1, s2, p2)
-        self._set(child_set, n, s1, p1, s2, p2)
-
-
 class NumeratorTable(Value):
-    """Numerators N_{a,b}(n) for n = 1..n_max, a <= p1, b <= p2; mutable."""
+    """Numerators N_{a,b}(n) for n = 1..n_max, a <= max_p1, b <= max_p2."""
 
     __slots__ = ("child_set", "s1", "s2", "n_max", "max_p1", "max_p2", "values")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -72,9 +60,9 @@ class NumeratorTable(Value):
         n_max: int,
         max_p1: int,
         max_p2: int,
-        values: dict[tuple[int, int, int], int] | None = None,
+        values: dict[tuple[int, int, int], int],
     ) -> None:
-        self._set(child_set, s1, s2, n_max, max_p1, max_p2, {} if values is None else values)
+        self._set(child_set, s1, s2, n_max, max_p1, max_p2, values)
 
     def value(self, n: int, p1: int, p2: int = 0) -> int:
         return self.values[(n, p1, p2)]
@@ -89,12 +77,11 @@ def count_trees(child_set: ChildSet, n: int) -> int:
     return numerator_grid(child_set, n, 0, None, 0, 0)[(0, 0)]
 
 
-def numerator_mixed(query: NumeratorQuery) -> int:
-    """Exact numerator for a single (n, s1, p1, s2, p2) query."""
-    grid = numerator_grid(
-        query.child_set, query.n, query.s1, query.s2, query.p1, query.p2
-    )
-    return grid[(query.p1, query.p2)]
+def numerator_mixed(
+    child_set: ChildSet, n: int, s1: int, p1: int, s2: int | None = None, p2: int = 0
+) -> int:
+    """N_{p1,p2}(X_{n,s1}, X_{n,s2}): one cell of numerator_grid."""
+    return numerator_grid(child_set, n, s1, s2, p1, p2)[(p1, p2)]
 
 
 def _times_phi(coeffs: list[int], low: int, child_set: ChildSet):
@@ -127,7 +114,8 @@ def numerator_grid(
 
     One power phi^(n-k_hi), k_hi = max_p1+max_p2, is computed; each smaller
     k multiplies the previous power by phi, |S| additions per coefficient.
-    Every grid cell is then a short Stirling-weighted sum of coefficients.
+    Every grid cell is then a short Stirling-weighted sum of coefficients,
+    with the Stirling rows and ff(n, k) computed once per grid.
     With s2 == s1, N_{a,b} is N_{a+b} of s1 alone.  Child counts of n or
     more occur in no tree on n vertices, so the work is sized by n.
     """
@@ -157,21 +145,22 @@ def numerator_grid(
         coeffs, low = powers[k]
         return coeffs[degree - low]
 
+    # S(b, k2) for every b, S(a, k1) one row at a time; k1 + k2 <= n, since
+    # terms past it vanish with ff(n, k1 + k2)
+    rows_b = list(islice(stirling2_rows(n), max_p2 + 1))
+    ffs = [falling_factorial(n, k) for k in range(k_hi + 1)]
     grid: dict[tuple[int, int], int] = {}
-    for a in range(max_p1 + 1):
-        for b in range(max_p2 + 1):
+    for a, row_a in zip(range(max_p1 + 1), stirling2_rows(n)):
+        for b, row_b in enumerate(rows_b):
             total = 0
-            # terms with k1 + k2 > n vanish with ff(n, k1 + k2)
-            for k1 in range(min(a, n) + 1):
-                w1 = stirling2(a, k1)
+            for k1, w1 in enumerate(row_a):
                 if w1 == 0:
                     continue
-                for k2 in range(min(b, n - k1) + 1):
-                    w2 = stirling2(b, k2)
+                for k2, w2 in enumerate(row_b[: n - k1 + 1]):
                     if w2 == 0:
                         continue
-                    ff = falling_factorial(n, k1 + k2)
-                    total += w1 * w2 * ff * coeff_at(k1 + k2, n - 1 - k1 * s1 - k2 * t2)
+                    k = k1 + k2
+                    total += w1 * w2 * ffs[k] * coeff_at(k, n - 1 - k1 * s1 - k2 * t2)
             value = exact_div(total, n)
             if value < 0:
                 raise ArithmeticError(f"negative numerator N_{a},{b}({n}) = {value}")
@@ -189,9 +178,9 @@ def numerator_sequence(
 ) -> NumeratorTable:
     """Numerators for every n = 1..n_max (whole grid up to (p1, p2))."""
     check_query(child_set, n_max, s1, p1, s2, p2)
-    table = NumeratorTable(child_set, s1, s2, n_max, p1, p2)
+    values = {}
     for n in range(1, n_max + 1):
         grid = numerator_grid(child_set, n, s1, s2, p1, p2)
         for (a, b), value in grid.items():
-            table.values[(n, a, b)] = value
-    return table
+            values[(n, a, b)] = value
+    return NumeratorTable(child_set, s1, s2, n_max, p1, p2, values)

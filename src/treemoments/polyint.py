@@ -15,13 +15,14 @@ needs the coefficients near max_deg holds O(max_deg) bits instead of
 O(max_deg**2).
 
 Also houses the small combinatorial number helpers (Stirling numbers of the
-second kind, falling factorials) used to expand powers of the marking
-operator y*d/dy into plain derivatives.
+second kind, row by row, and falling factorials) used to expand powers of
+the marking operator y*d/dy into plain derivatives.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Iterator
+from itertools import islice
 
 from .errors import NonUnitConstantTerm
 
@@ -114,16 +115,25 @@ def poly_pow_coeffs(phi: Poly, m: int, max_deg: int, min_deg: int = 0) -> Poly:
     return _pow_recurrence(phi, m, max_deg, min_deg)
 
 
-@lru_cache(maxsize=None)
+def stirling2_rows(width: int) -> Iterator[list[int]]:
+    """Stirling numbers of the second kind S(p, 0..min(p, width)) for p = 0, 1, ...
+
+    Row p+1 is S(p+1, k) = k*S(p, k) + S(p, k-1) from row p, the only one kept.
+    """
+    row = [1]
+    while True:
+        yield row
+        # S(p+1, k) for k = 1..len(row), with S(p, len(row)) = 0, cut to k <= width
+        row = [0] + [k * s + row[k - 1] for k, s in enumerate(row[1:] + [0], 1)][:width]
+
+
 def stirling2(p: int, k: int) -> int:
     """Stirling number of the second kind S(p, k)."""
     if p < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if p == 0 and k == 0:
-        return 1
-    if k == 0 or k > p:
+    if k > p:
         return 0
-    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
+    return next(islice(stirling2_rows(k), p, None))[k]
 
 
 def falling_factorial(n: int, k: int) -> int:

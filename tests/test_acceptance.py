@@ -36,7 +36,6 @@ from treemoments import (
     scaled_moment,
     verify_recurrence,
 )
-from treemoments.engine import NumeratorQuery
 
 S012 = ChildSet((0, 1, 2))
 FAMILY = [
@@ -54,9 +53,9 @@ def test_exact_values_at_n30_for_child_counts_012():
     count = count_trees(S012, n)
     assert count == 593742784829
 
-    leaf = numerator_mixed(NumeratorQuery(S012, n, 0, 1))
-    single = numerator_mixed(NumeratorQuery(S012, n, 1, 1))
-    mixed = numerator_mixed(NumeratorQuery(S012, n, 0, 2, 1, 3))
+    leaf = numerator_mixed(S012, n, 0, 1)
+    single = numerator_mixed(S012, n, 1, 1)
+    mixed = numerator_mixed(S012, n, 0, 2, 1, 3)
     assert leaf == 6186675630819
     assert single == 6032675068061
     assert mixed == 68622906286794431
@@ -78,10 +77,8 @@ def test_numerators_match_enumeration_oracle():
                             expected = oracle_numerator(
                                 child_set, n, pair[0], p1, pair[1], p2
                             )
-                            query = NumeratorQuery(
-                                child_set, n, pair[0], p1, pair[1], p2
-                            )
-                            assert numerator_mixed(query) == expected, (
+                            actual = numerator_mixed(child_set, n, pair[0], p1, pair[1], p2)
+                            assert actual == expected, (
                                 child_set, n, pair, p1, p2,
                             )
     assert time.perf_counter() - t0 < 60.0
@@ -92,7 +89,7 @@ def test_vertex_and_edge_sum_identities_to_n100():
         for n in range(1, 101):
             f_n = count_trees(child_set, n)
             totals = {
-                s: numerator_mixed(NumeratorQuery(child_set, n, s, 1))
+                s: numerator_mixed(child_set, n, s, 1)
                 for s in child_set.elements
             }
             assert sum(totals.values()) == n * f_n, (child_set, n)
@@ -241,10 +238,9 @@ def test_desk_scale_performance():
     for p1 in range(6):
         for p2 in range(6 - p1):
             if p2 == 0:
-                query = NumeratorQuery(S012, 2000, 0, p1)
+                numerator_mixed(S012, 2000, 0, p1)
             else:
-                query = NumeratorQuery(S012, 2000, 0, p1, 1, p2)
-            numerator_mixed(query)
+                numerator_mixed(S012, 2000, 0, p1, 1, p2)
     assert time.perf_counter() - t0 < 60.0
 
     t0 = time.perf_counter()
@@ -326,3 +322,11 @@ def test_scaled_moment_costs_its_cells_not_the_grid():
     assert code == 0
     assert peak < 40.0
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_scaled_moment_weights_live_for_one_grid():
+    # a process-wide cache of S(p, k) for k <= n held 61 596 entries, and
+    # the process peaked at 54.4 MB, here
+    peak, code = _peak_rss_mb("scaled -S 0,1,2 -n 30 --s1 0 --p 2000".split())
+    assert code == 0
+    assert peak < 25.0

@@ -283,6 +283,7 @@ class TestExitCodes:
             "numerator -S 0,1,2 -n 1..5 --s1 0 --s2 3 --p 1,1",
             "guess-rec -S 0,1,2 --stat numerator --s1 7",
             "guess-rec -S 0,1,2 --stat numerator --s1 0 --p 1,1",
+            "guess-rec -S 0,1,2 --stat numerator --s1 0 --s2 3 --p 1,1",
             "guess-rec -S 0,1,2 --max-order 0",
             "guess-rec -S 0,1,2 --max-degree -1",
             "guess-rec -S 0,1,2 --margin -1",

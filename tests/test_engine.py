@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from treemoments import (
     ChildSet,
-    NumeratorQuery,
     count_trees,
     numerator_grid,
     numerator_mixed,
     numerator_sequence,
 )
+from treemoments.engine import check_query
 from treemoments.polyint import _pow_binary, falling_factorial, stirling2
 
 S012 = ChildSet((0, 1, 2))
@@ -48,42 +48,31 @@ class TestCountTrees:
 
 class TestNumerators:
     def test_leaf_count_numerators_small(self):
-        values = [
-            numerator_mixed(NumeratorQuery(S012, n, 0, 1)) for n in (1, 2, 3)
-        ]
-        assert values == [1, 1, 3]
+        assert [numerator_mixed(S012, n, 0, 1) for n in (1, 2, 3)] == [1, 1, 3]
 
     def test_single_child_numerators_small(self):
-        values = [
-            numerator_mixed(NumeratorQuery(S012, n, 1, 1)) for n in (1, 2, 3)
-        ]
-        assert values == [0, 1, 2]
+        assert [numerator_mixed(S012, n, 1, 1) for n in (1, 2, 3)] == [0, 1, 2]
 
     def test_mixed_numerator_small(self):
-        q = NumeratorQuery(S012, 3, 0, 1, 1, 1)
-        assert numerator_mixed(q) == 2  # chain: 1*2, cherry: 2*0
+        assert numerator_mixed(S012, 3, 0, 1, 1, 1) == 2  # chain: 1*2, cherry: 2*0
 
     def test_reference_values_at_n30(self):
-        assert numerator_mixed(NumeratorQuery(S012, 30, 0, 1)) == 6186675630819
-        assert numerator_mixed(NumeratorQuery(S012, 30, 1, 1)) == 6032675068061
-        assert (
-            numerator_mixed(NumeratorQuery(S012, 30, 0, 2, 1, 3))
-            == 68622906286794431
-        )
+        assert numerator_mixed(S012, 30, 0, 1) == 6186675630819
+        assert numerator_mixed(S012, 30, 1, 1) == 6032675068061
+        assert numerator_mixed(S012, 30, 0, 2, 1, 3) == 68622906286794431
 
     def test_power_zero_recovers_count(self):
         for child_set in FAMILY:
             for n in (1, 3, 7):
-                q = NumeratorQuery(child_set, n, 0, 0)
-                assert numerator_mixed(q) == count_trees(child_set, n)
+                assert numerator_mixed(child_set, n, 0, 0) == count_trees(child_set, n)
 
     def test_empty_class_gives_zero(self):
-        assert numerator_mixed(NumeratorQuery(S02, 4, 0, 1)) == 0
+        assert numerator_mixed(S02, 4, 0, 1) == 0
 
     def test_same_statistic_twice_merges_powers(self):
         # X_0^1 * X_0^1 is X_0^2
-        assert numerator_mixed(NumeratorQuery(S012, 5, 0, 1, 0, 1)) == 43
-        assert numerator_mixed(NumeratorQuery(S012, 5, 0, 2)) == 43
+        assert numerator_mixed(S012, 5, 0, 1, 0, 1) == 43
+        assert numerator_mixed(S012, 5, 0, 2) == 43
         merged = numerator_grid(S012, 9, 1, None, 5, 0)
         assert numerator_grid(S012, 9, 1, 1, 2, 3) == {
             (a, b): merged[(a + b, 0)] for a in range(3) for b in range(4)
@@ -93,18 +82,34 @@ class TestNumerators:
 
     def test_second_power_needs_second_statistic(self):
         with pytest.raises(ValueError):
-            NumeratorQuery(S012, 5, 0, 1, None, 2)
+            numerator_mixed(S012, 5, 0, 1, None, 2)
 
     @pytest.mark.parametrize(
-        "s1, s2, max_p1, max_p2",
-        [(7, None, 1, 0), (0, 3, 1, 1), (0, None, -1, 0)],
-        ids=["s1-outside-S", "s2-outside-S", "negative-power"],
+        "n, s1, s2, max_p1, max_p2",
+        [
+            (5, 7, None, 1, 0),
+            (5, 0, 3, 1, 1),
+            (5, 0, None, -1, 0),
+            (0, 0, None, 1, 0),
+            (5, 0, None, 1, 2),
+            (5, 0, 1, 1, -1),
+        ],
+        ids=[
+            "s1-outside-S",
+            "s2-outside-S",
+            "negative-power",
+            "n-below-one",
+            "second-power-without-s2",
+            "negative-second-power",
+        ],
     )
-    def test_grid_rejects_what_the_query_rejects(self, s1, s2, max_p1, max_p2):
+    def test_grid_rejects_what_the_query_rejects(self, n, s1, s2, max_p1, max_p2):
         with pytest.raises(ValueError):
-            NumeratorQuery(S012, 5, s1, max_p1, s2, max_p2)
+            check_query(S012, n, s1, max_p1, s2, max_p2)
         with pytest.raises(ValueError):
-            numerator_grid(S012, 5, s1, s2, max_p1, max_p2)
+            numerator_mixed(S012, n, s1, max_p1, s2, max_p2)
+        with pytest.raises(ValueError):
+            numerator_grid(S012, n, s1, s2, max_p1, max_p2)
 
 
 class TestIdentities:
@@ -113,25 +118,19 @@ class TestIdentities:
         for child_set in FAMILY:
             for n in range(1, 26):
                 fn = count_trees(child_set, n)
-                firsts = {
-                    s: numerator_mixed(NumeratorQuery(child_set, n, s, 1))
-                    for s in child_set
-                }
+                firsts = {s: numerator_mixed(child_set, n, s, 1) for s in child_set}
                 assert sum(firsts.values()) == n * fn
                 assert sum(s * v for s, v in firsts.items()) == (n - 1) * fn
 
     def test_grid_matches_individual_queries(self):
         grid = numerator_grid(S012, 9, 0, 1, 3, 2)
         for (p1, p2), value in grid.items():
-            q = NumeratorQuery(S012, 9, 0, p1, 1, p2)
-            assert numerator_mixed(q) == value
+            assert numerator_mixed(S012, 9, 0, p1, 1, p2) == value
 
     def test_sequence_table_matches_queries(self):
         table = numerator_sequence(S012, 0, None, 2, 0, 12)
-        assert table.sequence(2, 0) == [
-            numerator_mixed(NumeratorQuery(S012, n, 0, 2)) for n in range(1, 13)
-        ]
-        assert table.value(5, 1) == numerator_mixed(NumeratorQuery(S012, 5, 0, 1))
+        assert table.sequence(2, 0) == [numerator_mixed(S012, n, 0, 2) for n in range(1, 13)]
+        assert table.value(5, 1) == numerator_mixed(S012, 5, 0, 1)
 
 
 def per_k_binary_grid(child_set, n, s1, s2, max_p1, max_p2):

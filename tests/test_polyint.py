@@ -13,6 +13,7 @@ from treemoments.polyint import (
     poly_mul_trunc,
     poly_pow_coeffs,
     stirling2,
+    stirling2_rows,
 )
 
 
@@ -162,6 +163,26 @@ class TestCombinatorialHelpers:
         for p in range(8):
             for k in range(p + 2):
                 assert stirling2(p, k) == brute_stirling2(p, k)
+
+    def test_stirling_edges(self):
+        assert stirling2(0, 0) == 1
+        assert [stirling2(p, 0) for p in (1, 2, 9)] == [0, 0, 0]
+        assert [stirling2(0, k) for k in (1, 2)] == [0, 0]
+        assert [stirling2(p, p + d) for p in (1, 4, 9) for d in (1, 3)] == [0] * 6
+        with pytest.raises(ValueError):
+            stirling2(-1, 0)
+        with pytest.raises(ValueError):
+            stirling2(2, -1)
+
+    def test_stirling_at_high_power_matches_closed_form(self):
+        # S(p, 3) = (3^p - 3*2^p + 3)/6; p = 5000 is far past any recursion limit
+        for p in (3, 10, 5000):
+            assert stirling2(p, 3) == (3**p - 3 * 2**p + 3) // 6
+
+    def test_stirling_rows_are_truncated_rows_of_the_table(self):
+        for width in (0, 1, 3, 12):
+            for p, row in zip(range(14), stirling2_rows(width)):
+                assert row == [stirling2(p, k) for k in range(min(p, width) + 1)]
 
     def test_falling_factorial_values(self):
         assert falling_factorial(5, 0) == 1

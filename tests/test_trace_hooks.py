@@ -2,7 +2,8 @@
 
 perfbench/tracer.py wraps functions where their callers look them up.  A
 renamed or bypassed hook would otherwise show only in a traced benchmark
-run; here small moment jobs run under the tracer in-process.
+run; here small moment, count and numerator jobs run under the tracer
+in-process.
 """
 
 import contextlib
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import treemoments.cli as cli
+import treemoments.engine as engine
 import treemoments.gaussref as gaussref
+import treemoments.moments as moments
 from treemoments.render import SqrtExpr
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -24,6 +27,13 @@ JOBS = [
     "scaled -S 0,1,2 -n 20..24 --s1 0 --p 3 --format csv",
 ]
 
+NUMERATOR_JOBS = [
+    "count -S 0,1,2 -n 30",
+    "numerator -S 0,1,2 -n 1..12 --s1 0 --s2 1 --p 2,1 --format csv",
+    "guess-rec -S 0,1,2 --stat numerator --s1 0 --p 1 --terms 40 --max-order 2 --max-degree 2",
+    "scaled -S 0,1,2 -n 20 --s1 0 --p 3",
+]
+
 
 @pytest.fixture
 def tracer(monkeypatch):
@@ -32,6 +42,22 @@ def tracer(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_traced(tracer, hooks, jobs):
+    """The tracer's recorder after jobs ran with every hook wrapped, then restored."""
+    before = {(owner, attr): owner.__dict__[attr] for owner, attr in hooks}
+    recorder = tracer.Tracer()
+    originals = tracer.install(recorder)
+    try:
+        assert all(owner.__dict__[attr] is not before[(owner, attr)] for owner, attr in hooks)
+        for job in jobs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(job.split()) == 0, job
+    finally:
+        tracer.uninstall(originals)
+    assert all(owner.__dict__[attr] is before[(owner, attr)] for owner, attr in hooks)
+    return recorder
 
 
 def test_moment_hooks_record_spans_and_are_restored(tracer):
@@ -49,17 +75,7 @@ def test_moment_hooks_record_spans_and_are_restored(tracer):
         (SqrtExpr, "from_sqrt"),
         (SqrtExpr, "from_rational"),
     ]
-    before = {(owner, attr): owner.__dict__[attr] for owner, attr in hooks}
-    recorder = tracer.Tracer()
-    originals = tracer.install(recorder)
-    try:
-        assert all(owner.__dict__[attr] is not before[(owner, attr)] for owner, attr in hooks)
-        for job in JOBS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(job.split()) == 0
-    finally:
-        tracer.uninstall(originals)
-    assert all(owner.__dict__[attr] is before[(owner, attr)] for owner, attr in hooks)
+    recorder = run_traced(tracer, hooks, JOBS)
 
     names = {span[2] for span in recorder.spans}
     for name in [
@@ -82,3 +98,31 @@ def test_moment_hooks_record_spans_and_are_restored(tracer):
     assert metrics["moments.cells"] == 16 + (2 + 1 + 16) + 5
     assert metrics["gaussref.calls"] == 1
     assert metrics["gaussref.multi_root_gaps"] == 0
+
+
+def test_engine_hooks_record_spans_and_are_restored(tracer):
+    hooks = [
+        (cli, "count_trees"),
+        (cli, "numerator_mixed"),
+        (cli, "numerator_sequence"),
+        (engine, "poly_pow_coeffs"),
+        (engine, "exact_div"),
+        (engine, "stirling2"),
+        (engine, "falling_factorial"),
+        (moments, "numerator_grid"),
+    ]
+    recorder = run_traced(tracer, hooks, NUMERATOR_JOBS)
+
+    names = {span[2] for span in recorder.spans}
+    for name in [
+        "treemoments.cli.count_trees",
+        "treemoments.cli.numerator_mixed",
+        "treemoments.cli.numerator_sequence",
+        "treemoments.engine.poly_pow_coeffs",
+        "treemoments.engine.falling_factorial",
+        "treemoments.moments.numerator_grid",
+    ]:
+        assert name in names, name
+    metrics = tracer.layer_metrics(recorder)
+    assert metrics["engine.max_bits"] > 0
+    assert metrics["polyint.coeffs"] > 0

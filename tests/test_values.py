@@ -3,7 +3,7 @@
 Each case builds an instance from fixed arguments, freshly on every call, and
 lists the fields that `==`, `hash` and `repr` use, in order.  ScaledMoment's
 cell and grid and GapRow's scaled and rho are carried but neither compared
-nor printed.  NumeratorTable is the one mutable, unhashable record.
+nor printed.
 """
 
 import copy
@@ -23,7 +23,6 @@ from treemoments import (
     MonteCarloEstimate,
     NormalMomentPoly,
     NormalMomentValue,
-    NumeratorQuery,
     NumeratorTable,
     Recurrence,
     ScaledMoment,
@@ -31,6 +30,8 @@ from treemoments import (
     VerifyResult,
     moment_report,
     normality_gap_report,
+    numerator_mixed,
+    numerator_sequence,
     scaled_moment,
 )
 from treemoments.oracle import count_vector_table
@@ -51,11 +52,6 @@ def gap_report() -> GapReport:
 # name: (build, fields compared and printed, hashable)
 CASES = {
     "ChildSet": (lambda: ChildSet([2, 0, 1]), ["elements"], True),
-    "NumeratorQuery": (
-        lambda: NumeratorQuery(ChildSet((0, 1, 2)), 9, 1, 2, 2, 1),
-        ["child_set", "n", "s1", "p1", "s2", "p2"],
-        True,
-    ),
     "NumeratorTable": (
         lambda: NumeratorTable(ChildSet((0, 2)), 0, None, 3, 1, 0, {(1, 0, 0): 1}),
         ["child_set", "s1", "s2", "n_max", "max_p1", "max_p2", "values"],
@@ -113,9 +109,6 @@ CASES = {
     ),
 }
 
-FROZEN = [name for name in CASES if name != "NumeratorTable"]
-
-
 @pytest.fixture(params=sorted(CASES))
 def case(request):
     return request.param, *CASES[request.param]
@@ -168,7 +161,7 @@ def test_carried_fields_are_neither_compared_nor_printed():
     assert "scaled" not in repr(row) and "rho=" not in repr(row)
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", list(CASES))
 def test_assignment_and_deletion_raise_attribute_error(name):
     build, fields, _ = CASES[name]
     obj = build()
@@ -181,14 +174,16 @@ def test_assignment_and_deletion_raise_attribute_error(name):
     assert obj == build()
 
 
-def test_numerator_table_stays_mutable_and_unhashable():
-    table = CASES["NumeratorTable"][0]()
-    table.n_max = 4
-    table.values[(4, 1, 0)] = 2
-    assert table.n_max == 4 and table.value(4, 1) == 2
-    assert table != CASES["NumeratorTable"][0]()
+def test_numerator_sequence_returns_a_frozen_table():
+    table = numerator_sequence(ChildSet((0, 1, 2)), 0, 1, 2, 1, 8)
+    twin = numerator_sequence(ChildSet((0, 1, 2)), 0, 1, 2, 1, 8)
+    assert table == twin
+    assert table != numerator_sequence(ChildSet((0, 1, 2)), 0, 1, 2, 1, 7)
+    with pytest.raises(AttributeError):
+        table.n_max = 9
     with pytest.raises(TypeError):
-        hash(table)
+        hash(table)  # it holds a dict
+    assert table.value(8, 2, 1) == numerator_mixed(ChildSet((0, 1, 2)), 8, 0, 2, 1, 1)
 
 
 @pytest.mark.parametrize("clone", [
@@ -220,12 +215,10 @@ def test_default_containers_are_fresh_per_instance():
     second = MomentReport(spec(), 4, {}, {})
     assert first.scaled == {} and first.scaled is not second.scaled
     assert (first.correlation_rho, first.degenerate) == (None, False)
-    tables = [NumeratorTable(ChildSet((0, 2)), 0, None, 3, 1, 0) for _ in range(2)]
-    assert tables[0].values == {} and tables[0].values is not tables[1].values
 
 
 def test_defaults_and_normalisation_keep_their_values():
-    assert NumeratorQuery(ChildSet((0, 1)), 3, 0, 1) == NumeratorQuery(
+    assert numerator_mixed(ChildSet((0, 1)), 3, 0, 1) == numerator_mixed(
         ChildSet((0, 1)), 3, 0, 1, None, 0
     )
     assert MomentSpec(ChildSet((0, 1, 2)), 5, 0).max_p2 == 0
