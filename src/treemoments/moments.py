@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, isqrt
+from math import isqrt
 
 from .childset import ChildSet
 from .engine import check_query, numerator_grid
@@ -62,10 +62,11 @@ class MomentSpec(Value):
 def _shift(values: list[int], n00: int, mean: int) -> int:
     """sum_r C(j,r) (-mean)^r N00^(j-r) values[j-r], j = len(values) - 1, by Horner in N00."""
     j = len(values) - 1
-    total, power = values[j], 1
+    total, power, binom = values[j], 1, 1
     for r in range(1, j + 1):
         power *= -mean
-        total = total * n00 + comb(j, r) * power * values[j - r]
+        binom = binom * (j - r + 1) // r  # C(j, r) from C(j, r - 1)
+        total = total * n00 + binom * power * values[j - r]
     return total
 
 

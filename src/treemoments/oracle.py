@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from operator import sub
 from random import Random
 
@@ -256,6 +256,22 @@ def _next_row(
     return k_zero - lose, x + step, k_last - drop, weight
 
 
+def _reweigh(weight: int, old: tuple[int, ...], new: tuple[int, ...]) -> int:
+    """The multinomial of count vector new, given weight, that of old.
+
+    Both vectors sum to the same n, so the ratio is prod(old_k!)/prod(new_k!):
+    a falling factorial per count that falls over one per count that rises,
+    taken with one exact division.
+    """
+    num = den = 1
+    for a, b in zip(old, new):
+        if a > b:
+            num *= math.perm(a, a - b)
+        elif b > a:
+            den *= math.perm(b, b - a)
+    return weight * num // den
+
+
 class CountVectorTable(Value):
     """Checkpoints of the cycle lemma's weighted rows; see count_vector_table."""
 
@@ -303,23 +319,25 @@ def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
 
     The count of the largest element is solved from the budget and the next
     largest is stepped so that the solved count stays integral; along that
-    run of rows the weight changes by _next_row's ratio.  Only checkpoints
-    are kept: the first row of every run and every stride-th row within it,
-    with stride = ceil(rows / n).  So the table holds at most runs + n
-    weights of O(n) bits each, O(n^2) bits, and CountVectorTable.pick
-    rebuilds any other row from the checkpoint before it.  For |S| <= 3
-    there is one run of at most n rows, so stride is 1 and every row is a
-    checkpoint.
+    run of rows the weight changes by _next_row's ratio.  Each run's first
+    row is weighed from the first row of the run before by _reweigh, the
+    first run's from the vector of n leaves, of weight 1.  Only
+    checkpoints are kept: the first row of every run and every stride-th row
+    within it, with stride = ceil(rows / n), and each run is walked one
+    stride at a time from checkpoint to checkpoint.  So the table holds at
+    most runs + n weights of O(n) bits each, O(n^2) bits, and
+    CountVectorTable.pick rebuilds any other row from the checkpoint before
+    it.  For |S| <= 3 there is one run of at most n rows, so stride is 1 and
+    every row is a checkpoint.
     """
     elements = child_set.elements
-    n_fact = math.factorial(n)
     if len(elements) <= 2:  # S = {0} or {0, s}: at most one vector
         s = elements[-1]
         k = (n - 1) // s if s else 0
         if s * k != n - 1:
             return CountVectorTable([], [], [], 0, 0, 0)
         vector = (n - k, k) if s else (n,)
-        weight = _multinomial(n_fact, vector)
+        weight = _multinomial(math.factorial(n), vector)
         return CountVectorTable([0], [vector], [weight], weight, 0, 0)
     *outer_coords, inner, last = elements[1:]
     g = math.gcd(inner, last)
@@ -336,17 +354,23 @@ def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
     vectors: list[tuple[int, ...]] = []
     weights: list[int] = []
     acc = 0
+    # the first row of the run before; before the first run, the n leaves,
+    # whose one sequence weighs 1
+    first, first_weight = (n, *[0] * (len(elements) - 1)), 1
     for outer, x, k_last in runs:
         k_zero = n - sum(outer) - x - k_last
-        weight = _multinomial(n_fact, (k_zero, *outer, x, k_last))
-        for row in range(k_last // drop + 1):
-            if row:
+        vector = (k_zero, *outer, x, k_last)
+        weight = first_weight = _reweigh(first_weight, first, vector)
+        first = vector
+        # left: the rows of the run after the checkpoint
+        for left in range(k_last // drop, -1, -stride):
+            starts.append(acc)
+            vectors.append((k_zero, *outer, x, k_last))
+            weights.append(weight)
+            for _ in range(min(stride, left)):
+                acc += weight
                 k_zero, x, k_last, weight = _next_row(k_zero, x, k_last, weight, step, drop)
-            if row % stride == 0:
-                starts.append(acc)
-                vectors.append((k_zero, *outer, x, k_last))
-                weights.append(weight)
-            acc += weight
+        acc += weight  # the run's last row
     return CountVectorTable(starts, vectors, weights, acc, step, drop)
 
 
@@ -354,24 +378,49 @@ def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
     """The rotation of seq that starts just after the first minimum of its walk.
 
     For a sequence of n child counts summing to n-1 this is the one rotation
-    that is a valid code (cycle lemma).
+    that is a valid code (cycle lemma).  _CycleLemma.sample takes the same
+    cut from _shuffle; this walk is the reference for decision_probability.
     """
     walk = list(map(sub, accumulate(seq), range(1, len(seq) + 1)))
     cut = walk.index(min(walk)) + 1
     return tuple(seq[cut:] + seq[:cut])
 
 
-def _shuffle(rng: Random, seq: list) -> None:
-    """rng.shuffle(seq), inline: the same words from rng.getrandbits, the
-    same swaps.  Each j below i + 1 is drawn as Random._randbelow draws it:
-    a word of (i + 1).bit_length() bits, redrawn while it exceeds i."""
+def _shuffle(rng: Random, seq: list[int]) -> int:
+    """rng.shuffle(seq), inline, returning the cut of _lukasiewicz_rotation.
+
+    The same words from rng.getrandbits, the same swaps: each j below i + 1
+    is drawn as Random._randbelow draws it, a word of (i + 1).bit_length()
+    bits redrawn while it exceeds i.  The i that share a width form one
+    block, so the width is worked out once per block.
+
+    Position i holds its final count once swapped, so the loop keeps the
+    sum of c - 1 over the suffix from i and returns the leftmost i >= 1
+    where that sum is largest: there the walk of partial sums is at its
+    first minimum, so seq[cut:] + seq[:cut] is the valid code when the
+    counts sum to len(seq) - 1.  The empty suffix, cut len(seq), is the same
+    rotation as cut 0, where the sums start.
+    """
     getrandbits = rng.getrandbits
-    for i in range(len(seq) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        seq[i], seq[j] = seq[j], seq[i]
+    suffix = best = cut = 0
+    top = len(seq) - 1
+    width = (top + 1).bit_length()
+    while width > 1:
+        low = (1 << (width - 1)) - 1  # the smallest i with this width
+        for i in range(top, low - 1, -1):
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            c = seq[j]
+            seq[j] = seq[i]
+            seq[i] = c
+            suffix += c - 1
+            if suffix >= best:
+                best = suffix
+                cut = i
+        top = low - 1
+        width -= 1
+    return cut
 
 
 class _CycleLemma:
@@ -383,6 +432,8 @@ class _CycleLemma:
     comes from one draw below W picked through count_vector_table's
     checkpoints.  Both draws take the words rng.randrange(W) and
     rng.shuffle would take, so a seed draws the same trees as those calls.
+    The shuffle also returns the cut of the one valid rotation, so a draw
+    walks its sequence once.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
@@ -399,10 +450,11 @@ class _CycleLemma:
         r = getrandbits(self.bits)
         while r >= self.total:  # rng.randrange(self.total), inline
             r = getrandbits(self.bits)
-        counts = self.table.pick(r)
-        seq = list(chain.from_iterable(map(repeat, self.elements, counts)))
-        _shuffle(rng, seq)
-        return _lukasiewicz_rotation(seq)
+        seq: list[int] = []
+        for s, k in zip(self.elements, self.table.pick(r)):
+            seq += [s] * k
+        cut = _shuffle(rng, seq)
+        return (*seq[cut:], *seq[:cut])
 
     def decision_probability(self, code) -> Fraction:
         counts = tuple(code.count(s) for s in self.elements)

@@ -282,6 +282,32 @@ class TestSampler:
                 assert xs == ys, (seed, length)
                 assert mine.getstate() == theirs.getstate(), (seed, length)
 
+    @pytest.mark.parametrize(
+        "elements", [(0, 1, 2), (0, 2), (0, 1, 2, 3), (0, 1, 5), (0, 2, 3, 5)]
+    )
+    def test_shuffle_returns_the_cut_of_the_valid_rotation(self, elements):
+        lengths = sorted({*range(1, 80)} | {2**k + d for k in range(1, 12) for d in (-1, 1)})
+        assert lengths[-1] == 2049
+        child_set = ChildSet(elements)
+        for length in lengths:
+            table = count_vector_table(child_set, length)
+            if not table.total:
+                continue  # no multiset of these counts sums to length - 1
+            pick = Random(length)
+            for seed in range(4):
+                counts = table.pick(pick.randrange(table.total))
+                seq = [c for c, k in zip(elements, counts) for _ in range(k)]
+                assert len(seq) == length and sum(seq) == length - 1
+                mine, theirs = Random(seed), Random(seed)
+                xs, ys = list(seq), list(seq)
+                cut = _shuffle(mine, xs)
+                theirs.shuffle(ys)
+                assert xs == ys, (elements, length, seed)
+                assert mine.getstate() == theirs.getstate(), (elements, length, seed)
+                code = (*xs[cut:], *xs[:cut])
+                assert code == _lukasiewicz_rotation(ys), (elements, length, seed)
+                assert is_valid_code(child_set, code)
+
     def test_inline_pick_draw_takes_the_words_randrange_takes(self):
         sampler = _CycleLemma(S012, 700)
         total = sampler.total
@@ -372,10 +398,12 @@ class TestSampler:
     def test_picks_match_per_row_reference(self, elements):
         child_set = ChildSet(elements)
         rng = Random(sum(elements))
-        for n in (*range(1, 16), 29, 44, 59, 60):
+        for n in (*range(1, 16), 29, 44, 59, 60, 301):
             table = count_vector_table(child_set, n)
             vectors, cums = per_row_table(child_set, n)
             assert table.total == (cums[-1] if cums else 0), (child_set, n)
+            for vector, weight in zip(table.vectors, table.weights):
+                assert weight == multinomial(n, vector), (child_set, n, vector)
             if table.total <= 5000:
                 draws = range(table.total)
             else:

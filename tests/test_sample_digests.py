@@ -155,6 +155,14 @@ LARGE_DIGESTS = {
         "b3e1178116ee511372154fbd5aab0a26d4510e1d516d4953ad2d0b20025da394",
     "sample -S 0,1,5 -n 1201 --count 3 --seed 0":
         "55cb7271408e9f5fbda701cdf0bb9a0a7aa6f520285a453838422162f0863683",
+    # many runs whose first rows come from the run before
+    "sample -S 0,2,3,5 -n 901 --count 3 --seed 2":
+        "17f602498fec5e752cf4f2cb8fb9d60c8840571113a94996b57a7d2dc9f5d159",
+    # a shuffle whose first block of one word width holds a single i
+    "sample -S 0,1,2 -n 1024 --count 3 --seed 5":
+        "6ae3ca0d515ea82c5c35dba05b5fdc6fbfca7497b745f95ca84cd86c00729587",
+    "sample -S 0,1,2,3 -n 2048 --count 2 --seed 3":
+        "37901b4fb19dbfc00689f2c53154ede8cc97cfdc657e5f212847e9d77094fe4a",
 }
 
 
