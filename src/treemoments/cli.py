@@ -158,7 +158,7 @@ def _per_n(
     if lo == hi and args.format == "text":
         out.write(f"{next(iter(rows))[bare]}\n")
         return
-    writer = RowWriter(args.format, columns, out, buffered=lo == hi)
+    writer = RowWriter(args.format, columns, out, buffered=False)
     for row in rows:
         writer.write(row)
     writer.close()

@@ -224,11 +224,6 @@ def joint_gf_fixpoint(
 CYCLE_LEMMA_MAX_SET = 4
 
 
-def _multinomial(n_fact: int, counts) -> int:
-    """n!/prod(k!) over counts k summing to n, given n_fact = n!."""
-    return n_fact // math.prod(map(math.factorial, counts))
-
-
 def _outer_counts(coords, budget: int):
     """Every count tuple over coords with sum(coord * count) <= budget, with
     the budget it leaves."""
@@ -270,108 +265,6 @@ def _reweigh(weight: int, old: tuple[int, ...], new: tuple[int, ...]) -> int:
         elif b > a:
             den *= math.perm(b, b - a)
     return weight * num // den
-
-
-class CountVectorTable(Value):
-    """Checkpoints of the cycle lemma's weighted rows; see count_vector_table."""
-
-    __slots__ = ("starts", "vectors", "weights", "total", "step", "drop")
-
-    def __init__(
-        self,
-        starts: list[int],  # cumulative weight before each checkpoint row
-        vectors: list[tuple[int, ...]],  # each checkpoint's child-count vector
-        weights: list[int],  # each checkpoint's weight
-        total: int,  # the sum of all row weights, n * f_n
-        step: int,  # per row of a run: inner count +step,
-        drop: int,  # last count -drop
-    ) -> None:
-        self._set(starts, vectors, weights, total, step, drop)
-
-    def pick(self, r: int) -> tuple[int, ...]:
-        """The vector of the row whose cumulative weight range holds r.
-
-        For 0 <= r < total this is the row bisect_right would find over
-        per-row cumulative weights: the last checkpoint starting at or
-        before r, then the rows after it in its run, each weight
-        subtracted until r falls inside one.
-        """
-        i = bisect_right(self.starts, r) - 1
-        r -= self.starts[i]
-        weight = self.weights[i]
-        if r < weight:  # always, when every row is a checkpoint
-            return self.vectors[i]
-        k_zero, *outer, x, k_last = self.vectors[i]
-        step, drop = self.step, self.drop
-        while r >= weight:
-            r -= weight
-            k_zero, x, k_last, weight = _next_row(k_zero, x, k_last, weight, step, drop)
-        return (k_zero, *outer, x, k_last)
-
-
-def count_vector_table(child_set: ChildSet, n: int) -> CountVectorTable:
-    """Child-count vectors of trees on n vertices, weighted, as checkpoints.
-
-    The rows are every k (aligned with child_set.elements) with sum(k) = n
-    and sum(s * k_s) = n - 1, weighted by the multinomial n!/prod(k_s!), the
-    number of sequences with those counts.  By the cycle lemma each tree is
-    n of those sequences, so the weights sum to n * f_n.
-
-    The count of the largest element is solved from the budget and the next
-    largest is stepped so that the solved count stays integral; along that
-    run of rows the weight changes by _next_row's ratio.  Each run's first
-    row is weighed from the first row of the run before by _reweigh, the
-    first run's from the vector of n leaves, of weight 1.  Only
-    checkpoints are kept: the first row of every run and every stride-th row
-    within it, with stride = ceil(rows / n), and each run is walked one
-    stride at a time from checkpoint to checkpoint.  So the table holds at
-    most runs + n weights of O(n) bits each, O(n^2) bits, and
-    CountVectorTable.pick rebuilds any other row from the checkpoint before
-    it.  For |S| <= 3 there is one run of at most n rows, so stride is 1 and
-    every row is a checkpoint.
-    """
-    elements = child_set.elements
-    if len(elements) <= 2:  # S = {0} or {0, s}: at most one vector
-        s = elements[-1]
-        k = (n - 1) // s if s else 0
-        if s * k != n - 1:
-            return CountVectorTable([], [], [], 0, 0, 0)
-        vector = (n - k, k) if s else (n,)
-        weight = _multinomial(math.factorial(n), vector)
-        return CountVectorTable([0], [vector], [weight], weight, 0, 0)
-    *outer_coords, inner, last = elements[1:]
-    g = math.gcd(inner, last)
-    step, drop = last // g, inner // g  # inner count +step, last count -drop
-    runs = []
-    for outer, budget in _outer_counts(outer_coords, n - 1):
-        # smallest x with inner * x = budget (mod last), if g divides budget
-        x = budget // g * pow(drop, -1, step) % step
-        if budget % g == 0 and inner * x <= budget:
-            runs.append((outer, x, (budget - inner * x) // last))
-    # a run ends where the last count drops below drop
-    stride = -(-sum(k_last // drop + 1 for _, _, k_last in runs) // n)
-    starts: list[int] = []
-    vectors: list[tuple[int, ...]] = []
-    weights: list[int] = []
-    acc = 0
-    # the first row of the run before; before the first run, the n leaves,
-    # whose one sequence weighs 1
-    first, first_weight = (n, *[0] * (len(elements) - 1)), 1
-    for outer, x, k_last in runs:
-        k_zero = n - sum(outer) - x - k_last
-        vector = (k_zero, *outer, x, k_last)
-        weight = first_weight = _reweigh(first_weight, first, vector)
-        first = vector
-        # left: the rows of the run after the checkpoint
-        for left in range(k_last // drop, -1, -stride):
-            starts.append(acc)
-            vectors.append((k_zero, *outer, x, k_last))
-            weights.append(weight)
-            for _ in range(min(stride, left)):
-                acc += weight
-                k_zero, x, k_last, weight = _next_row(k_zero, x, k_last, weight, step, drop)
-        acc += weight  # the run's last row
-    return CountVectorTable(starts, vectors, weights, acc, step, drop)
 
 
 def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
@@ -426,24 +319,98 @@ def _shuffle(rng: Random, seq: list[int]) -> int:
 class _CycleLemma:
     """Draw a count vector by weight, shuffle its multiset, rotate to a tree.
 
-    Shuffling makes every sequence with counts k equally likely, so a
-    sequence has probability 1/W for W = n * f_n, and each tree is the
-    rotation of exactly n sequences: probability n/W = 1/f_n.  The vector
-    comes from one draw below W picked through count_vector_table's
-    checkpoints.  Both draws take the words rng.randrange(W) and
-    rng.shuffle would take, so a seed draws the same trees as those calls.
-    The shuffle also returns the cut of the one valid rotation, so a draw
-    walks its sequence once.
+    The rows are every child-count vector k (aligned with child_set.elements)
+    with sum(k) = n and sum(s * k_s) = n - 1, weighted by the multinomial
+    n!/prod(k_s!), the number of sequences with those counts.  Shuffling
+    makes every sequence with counts k equally likely, so a sequence has
+    probability 1/W for W = n * f_n, the sum of the weights, and each tree
+    is the rotation of exactly n sequences (cycle lemma): probability
+    n/W = 1/f_n.  Both draws take the words rng.randrange(W) and rng.shuffle
+    would take, so a seed draws the same trees as those calls.  The shuffle
+    also returns the cut of the one valid rotation, so a draw walks its
+    sequence once.
+
+    The count of the largest element is solved from the budget and the next
+    largest is stepped so that the solved count stays integral; along that
+    run of rows the weight changes by _next_row's ratio.  Each run's first
+    row is weighed from the first row of the run before by _reweigh, the
+    first run's from the vector of n leaves, of weight 1.  Only checkpoints
+    are kept: the first row of every run and every stride-th row within it,
+    with stride = ceil(rows / n), and each run is walked one stride at a
+    time from checkpoint to checkpoint.  So the sampler holds at most
+    runs + n weights of O(n) bits each, O(n^2) bits, and pick rebuilds any
+    other row from the checkpoint before it.  For |S| <= 3 there is one run
+    of at most n rows, so stride is 1 and every row is a checkpoint.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
-        self.elements = child_set.elements
-        self.n = n
-        self.table = count_vector_table(child_set, n)
-        if not self.table.total:
+        self.elements = elements = child_set.elements
+        self.starts: list[int] = []  # cumulative weight before each checkpoint
+        self.vectors: list[tuple[int, ...]] = []  # each checkpoint's vector
+        self.weights: list[int] = []  # each checkpoint's weight
+        self.step = self.drop = 0  # per row of a run: inner +step, last -drop
+        acc = 0
+        if len(elements) <= 2:  # S = {0} or {0, s}: at most one vector
+            s = elements[-1]
+            k = (n - 1) // s if s else 0
+            if s * k == n - 1:
+                acc = math.comb(n, k)  # n!/((n - k)! k!)
+                self.starts, self.vectors, self.weights = [0], [(n - k, k) if s else (n,)], [acc]
+        else:
+            *outer_coords, inner, last = elements[1:]
+            g = math.gcd(inner, last)
+            self.step, self.drop = step, drop = last // g, inner // g
+            runs = []
+            for outer, budget in _outer_counts(outer_coords, n - 1):
+                # smallest x with inner * x = budget (mod last), if g divides budget
+                x = budget // g * pow(drop, -1, step) % step
+                if budget % g == 0 and inner * x <= budget:
+                    runs.append((outer, x, (budget - inner * x) // last))
+            # a run ends where the last count drops below drop
+            stride = -(-sum(k_last // drop + 1 for _, _, k_last in runs) // n)
+            # the first row of the run before; before the first run, the n
+            # leaves, whose one sequence weighs 1
+            first, first_weight = (n, *[0] * (len(elements) - 1)), 1
+            for outer, x, k_last in runs:
+                k_zero = n - sum(outer) - x - k_last
+                vector = (k_zero, *outer, x, k_last)
+                weight = first_weight = _reweigh(first_weight, first, vector)
+                first = vector
+                # left: the rows of the run after the checkpoint
+                for left in range(k_last // drop, -1, -stride):
+                    self.starts.append(acc)
+                    self.vectors.append((k_zero, *outer, x, k_last))
+                    self.weights.append(weight)
+                    for _ in range(min(stride, left)):
+                        acc += weight
+                        k_zero, x, k_last, weight = _next_row(
+                            k_zero, x, k_last, weight, step, drop
+                        )
+                acc += weight  # the run's last row
+        if not acc:
             raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
-        self.total = self.table.total
-        self.bits = self.total.bit_length()
+        self.total = acc  # n * f_n
+        self.bits = acc.bit_length()
+
+    def pick(self, r: int) -> tuple[int, ...]:
+        """The vector of the row whose cumulative weight range holds r.
+
+        For 0 <= r < total this is the row bisect_right would find over
+        per-row cumulative weights: the last checkpoint starting at or
+        before r, then the rows after it in its run, each weight
+        subtracted until r falls inside one.
+        """
+        i = bisect_right(self.starts, r) - 1
+        r -= self.starts[i]
+        weight = self.weights[i]
+        if r < weight:  # always, when every row is a checkpoint
+            return self.vectors[i]
+        k_zero, *outer, x, k_last = self.vectors[i]
+        step, drop = self.step, self.drop
+        while r >= weight:
+            r -= weight
+            k_zero, x, k_last, weight = _next_row(k_zero, x, k_last, weight, step, drop)
+        return (k_zero, *outer, x, k_last)
 
     def sample(self, rng: Random) -> TreeCode:
         getrandbits = rng.getrandbits
@@ -451,18 +418,17 @@ class _CycleLemma:
         while r >= self.total:  # rng.randrange(self.total), inline
             r = getrandbits(self.bits)
         seq: list[int] = []
-        for s, k in zip(self.elements, self.table.pick(r)):
+        for s, k in zip(self.elements, self.pick(r)):
             seq += [s] * k
         cut = _shuffle(rng, seq)
         return (*seq[cut:], *seq[:cut])
 
     def decision_probability(self, code) -> Fraction:
-        counts = tuple(code.count(s) for s in self.elements)
-        weight = _multinomial(math.factorial(self.n), counts)
-        # distinct shuffles that the rotation rule turns into this code
-        rotations = {code[i:] + code[:i] for i in range(self.n)}
+        # distinct shuffles that the rotation rule turns into this code, each
+        # drawn with probability 1/total
+        rotations = {code[i:] + code[:i] for i in range(len(code))}
         hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
-        return Fraction(weight, self.total) * Fraction(hits, weight)
+        return Fraction(hits, self.total)
 
 
 class _RecursiveMethod:

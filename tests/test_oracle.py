@@ -29,7 +29,6 @@ from treemoments.oracle import (
     _lukasiewicz_rotation,
     _outer_counts,
     _shuffle,
-    count_vector_table,
     format_code,
     parse_code,
 )
@@ -48,8 +47,8 @@ def multinomial(n, counts):
 
 def per_row_table(child_set, n):
     """Every child-count vector with its cumulative weight, one per row, in
-    the row order of count_vector_table: the table its checkpoints replaced,
-    kept as the reference that CountVectorTable.pick must agree with."""
+    the cycle lemma's row order: the table its checkpoints replaced, kept as
+    the reference that _CycleLemma.pick must agree with."""
     *outer_coords, inner, last = child_set.elements[1:]  # |S| >= 3
     g = math.gcd(inner, last)
     step, drop = last // g, inner // g
@@ -290,12 +289,13 @@ class TestSampler:
         assert lengths[-1] == 2049
         child_set = ChildSet(elements)
         for length in lengths:
-            table = count_vector_table(child_set, length)
-            if not table.total:
+            try:
+                sampler = _CycleLemma(child_set, length)
+            except NoTrees:
                 continue  # no multiset of these counts sums to length - 1
             pick = Random(length)
             for seed in range(4):
-                counts = table.pick(pick.randrange(table.total))
+                counts = sampler.pick(pick.randrange(sampler.total))
                 seq = [c for c, k in zip(elements, counts) for _ in range(k)]
                 assert len(seq) == length and sum(seq) == length - 1
                 mine, theirs = Random(seed), Random(seed)
@@ -312,22 +312,21 @@ class TestSampler:
         sampler = _CycleLemma(S012, 700)
         total = sampler.total
         assert 3**690 < total < 3**700  # about 3^696
-        table = sampler.table
+        pick = sampler.pick
         picked = []
 
-        class Recording:  # records each draw and the rng state right after it
-            def pick(self, r):
-                picked.append((r, rng.getstate()))
-                return table.pick(r)
+        def recording(r):  # records each draw and the rng state right after it
+            picked.append((r, rng.getstate()))
+            return pick(r)
 
-        sampler.table = Recording()
+        sampler.pick = recording
         redrawn = 0
         for seed in range(200):
             rng = Random(seed)
             code = sampler.sample(rng)
             theirs = Random(seed)
             assert picked[-1] == (theirs.randrange(total), theirs.getstate()), seed
-            seq = [c for c, k in zip(S012.elements, table.pick(picked[-1][0])) for _ in range(k)]
+            seq = [c for c, k in zip(S012.elements, pick(picked[-1][0])) for _ in range(k)]
             theirs.shuffle(seq)
             assert rng.getstate() == theirs.getstate(), seed
             assert code == _lukasiewicz_rotation(seq), seed
@@ -382,15 +381,19 @@ class TestSampler:
         extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
         for child_set in FAMILY + extra:
             for n in range(1, 10):
-                table = count_vector_table(child_set, n)
+                dist = child_count_distribution(child_set, n, cap=n)
+                if not dist:
+                    with pytest.raises(NoTrees):
+                        _CycleLemma(child_set, n)
+                    continue
+                sampler = _CycleLemma(child_set, n)
                 # every row in table order: pick at each row's first draw
                 vectors = []
                 r = 0
-                while r < table.total:
-                    vectors.append(table.pick(r))
+                while r < sampler.total:
+                    vectors.append(sampler.pick(r))
                     r += multinomial(n, vectors[-1])
-                assert r == table.total
-                dist = child_count_distribution(child_set, n, cap=n)
+                assert r == sampler.total
                 assert sorted(vectors) == sorted(dist), (child_set, n)
                 assert len(set(vectors)) == len(vectors)
 
@@ -399,35 +402,32 @@ class TestSampler:
         child_set = ChildSet(elements)
         rng = Random(sum(elements))
         for n in (*range(1, 16), 29, 44, 59, 60, 301):
-            table = count_vector_table(child_set, n)
             vectors, cums = per_row_table(child_set, n)
-            assert table.total == (cums[-1] if cums else 0), (child_set, n)
-            for vector, weight in zip(table.vectors, table.weights):
+            if not cums:
+                with pytest.raises(NoTrees):
+                    _CycleLemma(child_set, n)
+                continue
+            sampler = _CycleLemma(child_set, n)
+            assert sampler.total == cums[-1], (child_set, n)
+            for vector, weight in zip(sampler.vectors, sampler.weights):
                 assert weight == multinomial(n, vector), (child_set, n, vector)
-            if table.total <= 5000:
-                draws = range(table.total)
+            if sampler.total <= 5000:
+                draws = range(sampler.total)
             else:
                 boundaries = {c + d for c in [0, *cums[:-1]] for d in (-1, 0, 1)}
-                boundaries |= {c + d for c in table.starts for d in (-1, 0, 1)}
-                randoms = {rng.randrange(table.total) for _ in range(2000)}
-                draws = sorted(r for r in boundaries | randoms if 0 <= r < table.total)
+                boundaries |= {c + d for c in sampler.starts for d in (-1, 0, 1)}
+                randoms = {rng.randrange(sampler.total) for _ in range(2000)}
+                draws = sorted(r for r in boundaries | randoms if 0 <= r < sampler.total)
             for r in draws:
-                assert table.pick(r) == vectors[bisect_right(cums, r)], (child_set, n, r)
+                assert sampler.pick(r) == vectors[bisect_right(cums, r)], (child_set, n, r)
 
     def test_cycle_lemma_table_holds_o_n_weights(self):
         n = 2000
-        table = count_vector_table(ChildSet((0, 1, 2, 3)), n)
-        assert len(table.starts) == len(table.vectors) == len(table.weights)
-        assert len(table.weights) <= 2 * n + 2
+        sampler = _CycleLemma(ChildSet((0, 1, 2, 3)), n)
+        assert len(sampler.starts) == len(sampler.vectors) == len(sampler.weights)
+        assert len(sampler.weights) <= 2 * n + 2
         # one run of at most n rows keeps every row: S={0,1,2} has n/2 rows
-        assert len(count_vector_table(S012, n).weights) == n // 2
-
-    def test_cycle_lemma_table_is_no_tuple(self):
-        # a tuple would compare equal to its fields and unpack silently
-        table = count_vector_table(S012, 9)
-        assert not isinstance(table, tuple)
-        assert table == count_vector_table(S012, 9)
-        assert table != (table.starts, table.vectors, table.weights, table.total, 1, 2)
+        assert len(_CycleLemma(S012, n).weights) == n // 2
 
     def test_rejects_codes_it_never_draws(self):
         for child_set in (S012, ChildSet((0, 1, 2, 3)), ChildSet((0, 1, 2, 3, 4))):

@@ -2,10 +2,12 @@
 
 Each digest is sha256 over, for every format and seed in turn, the line
 "<format> <seed> <exit code>" followed by the command's stdout.  The sweep
-covers the cycle lemma at |S| = 3 and |S| = 4, where {0,2,4,6} has trees
-only at odd n and exits 2 at even n, and the recursive method (|S| >= 5),
-where {0,2,4,6,8} does the same.  The digests pin the exact sequence of rng draws, not only the
-distribution, so a change to how a choice is drawn shows here.
+covers the cycle lemma at |S| <= 2, where {0} has a tree only at n = 1 and
+{0,2} only at odd n, and both exit 2 elsewhere; at |S| = 3; at |S| = 4, where
+{0,2,4,6} has trees only at odd n and exits 2 at even n; and the recursive
+method (|S| >= 5), where {0,2,4,6,8} does the same.  The digests pin the
+exact sequence of rng draws, not only the distribution, so a change to how a
+choice is drawn shows here.
 """
 
 import contextlib
@@ -21,6 +23,42 @@ SEEDS = (1, 20261018)
 COMMAND = "sample -S {s} -n {n} --count 4 --seed {seed} --format {fmt}"
 
 DIGESTS = {
+    ("0", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0", 5):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0", 17):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0", 60):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0", 299):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,1", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,1", 2):
+        "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
+    ("0,1", 5):
+        "f574b04b63ffc72bc785e77f59eed6cd4d474ff249b29c227e7663a87c7cee3b",
+    ("0,1", 17):
+        "d9616877702ce1116f09476ce9f3338e990752fa90c46a83eba32ccaf972a814",
+    ("0,1", 60):
+        "07983a898b31349011fd87d70c7b952bc02d1b1fb11d956f0db65457dce3bfd6",
+    ("0,1", 299):
+        "5d85e303dcf8c96a89175c6edfa06ebd096c39aedabaa044a8a599c77f8024ee",
+    ("0,2", 1):
+        "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
+    ("0,2", 2):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2", 5):
+        "466b5dc864ada66e9bd0fca8545e5fef8b4506ab36f848e14d4e81e7c9dc66a8",
+    ("0,2", 17):
+        "06355c0157359a4172015c6d72494ca75b46c1c16989c1d683828e0ca8ddd4d7",
+    ("0,2", 60):
+        "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
+    ("0,2", 299):
+        "39a3881609ca14684eba209bcb43d0f67068a18f4ed46aea99ab1bfb6a670ba1",
     ("0,1,2", 1):
         "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
     ("0,1,2", 2):
