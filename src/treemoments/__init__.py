@@ -15,6 +15,7 @@ from .engine import (
     NumeratorTable,
     count_trees,
     numerator_grid,
+    numerator_grids,
     numerator_mixed,
     numerator_sequence,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "count_trees",
     "count_range",
     "numerator_grid",
+    "numerator_grids",
     "numerator_mixed",
     "numerator_sequence",
     "DomainError",

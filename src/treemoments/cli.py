@@ -17,20 +17,19 @@ TREEMOMENTS_ENUM_CAP overrides the default enumeration cap.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections.abc import Iterable
+from itertools import chain, islice
 from io import TextIOBase
 from random import Random
 
 from .childset import ChildSet
 from .derived import count_range
-from .engine import check_query, count_trees, numerator_mixed, numerator_sequence
+from .engine import check_query, count_trees, numerator_grids, numerator_mixed, numerator_sequence
 from .errors import DomainError
 from .gaussref import normality_gap_report
-from .moments import DEFAULT_DIGITS, MomentSpec, moment_report, scaled_moment
+from .moments import DEFAULT_DIGITS, MomentSpec, moment_report, scaled_bounds, scaled_moment
 from .oracle import DEFAULT_ENUMERATION_CAP, TreeSampler, enumerate_trees, format_code
 from .recurrence import guess_recurrence
 
@@ -108,8 +107,13 @@ class RowWriter:
         self.rows: list[list[str]] = []
         self.widths = [len(c) for c in columns]
         self.started = False
+        # csv and json are imported where used, not by every command
         if fmt == "csv":
+            import csv
             self.csv = csv.writer(out, lineterminator="\n")
+        elif fmt == "json":
+            import json
+            self.dumps = json.dumps
 
     @staticmethod
     def _cell(value, fmt: str) -> str:
@@ -121,7 +125,7 @@ class RowWriter:
 
     def write(self, row: dict) -> None:
         if self.fmt == "json":
-            self.out.write(json.dumps(row, default=str) + "\n")
+            self.out.write(self.dumps(row, default=str) + "\n")
             return
         if self.fmt == "csv":
             if not self.started:
@@ -182,12 +186,13 @@ def _cmd_numerator(args: argparse.Namespace, out: TextIOBase) -> None:
     if args.s2 is not None:
         given.update(s2=args.s2, p2=p2)
 
-    def row(n: int) -> dict:
-        value = numerator_mixed(args.child_set, n, args.s1, p1, args.s2, p2)
-        return {"n": n, **given, "numerator": value}
-
-    columns = ["n", *given, "numerator"]
-    _per_n(args, out, columns, map(row, range(lo, hi + 1)), "numerator")
+    if lo == hi:
+        values: Iterable[int] = [numerator_mixed(args.child_set, lo, args.s1, p1, args.s2, p2)]
+    else:
+        grids = numerator_grids(args.child_set, lo, hi, args.s1, args.s2, p1, p2)
+        values = (grid[(p1, p2)] for grid in grids)
+    rows = ({"n": n, **given, "numerator": value} for n, value in zip(range(lo, hi + 1), values))
+    _per_n(args, out, ["n", *given, "numerator"], rows, "numerator")
 
 
 def _cmd_moments(args: argparse.Namespace, out: TextIOBase) -> None:
@@ -212,14 +217,19 @@ def _cmd_scaled(args: argparse.Namespace, out: TextIOBase) -> None:
     p1, p2 = args.p
     lo, hi = args.n
 
-    def row(n: int) -> dict:
+    if lo == hi:
+        grids: Iterable = [None]  # scaled_moment computes the grid itself
+    else:
+        grids = numerator_grids(spec.child_set, lo, hi, spec.s1, spec.s2, *scaled_bounds(p1, p2))
+
+    def row(n: int, grid) -> dict:
         at_n = MomentSpec(spec.child_set, n, spec.s1, spec.s2, spec.max_p1, spec.max_p2)
-        value = scaled_moment(at_n, p1, p2, args.digits)
+        value = scaled_moment(at_n, p1, p2, args.digits, grid=grid)
         exact = None if value.exact is None else str(value.exact)
         return {"n": n, "p1": p1, "p2": p2, "alpha": value.text, "exact": exact}
 
     columns = ["n", "p1", "p2", "alpha", "exact"]
-    _per_n(args, out, columns, map(row, range(lo, hi + 1)), "alpha")
+    _per_n(args, out, columns, map(row, range(lo, hi + 1), grids), "alpha")
 
 
 def _cmd_normal_compare(args: argparse.Namespace, out: TextIOBase) -> None:
@@ -248,12 +258,15 @@ def _cmd_guess_rec(args: argparse.Namespace, out: TextIOBase) -> None:
         seq = table.sequence(p1, p2)
     rec = guess_recurrence(seq, args.max_order, args.max_degree, margin=args.margin)
     if args.format == "json":
+        import json
         if rec is None:
             out.write(json.dumps({"found": False}) + "\n")
         else:
             out.write(json.dumps({"found": True, **rec.to_json_dict()}) + "\n")
         return
     if args.format == "csv":
+        import csv
+        import json
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["order", "degree", "coefficients", "verified_from", "verified_to", "text"]
@@ -273,15 +286,29 @@ def _cmd_guess_rec(args: argparse.Namespace, out: TextIOBase) -> None:
     out.write("none\n" if rec is None else rec.render_text() + "\n")
 
 
+# byte c -> the digit c, for codes whose counts are all 0..9
+_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _write_codes(args: argparse.Namespace, out: TextIOBase, codes: Iterable) -> None:
-    if args.format == "text":
+    n = args.n[0]
+    if args.format != "text":
+        writer = RowWriter(args.format, ["code"], out, buffered=False)
+        for code in codes:
+            writer.write({"code": list(code)})
+        writer.close()
+    elif args.child_set.within(n).max_count > 9:
         for code in codes:
             out.write(format_code(code) + "\n")
-        return
-    writer = RowWriter(args.format, ["code"], out, buffered=False)
-    for code in codes:
-        writer.write({"code": list(code)})
-    writer.close()
+    else:
+        # blocks of about 4096 one-digit counts, each written as one string:
+        # digits at even offsets, the spaces and newline of each code at odd ones
+        codes, per_block, gaps = iter(codes), max(1, 4096 // n), b" " * (n - 1) + b"\n"
+        while block := list(islice(codes, per_block)):
+            text = bytearray(2 * n * len(block))
+            text[::2] = bytes(chain.from_iterable(block)).translate(_DIGIT_BYTES)
+            text[1::2] = gaps * len(block)
+            out.write(text.decode())
 
 
 def _cmd_enumerate(args: argparse.Namespace, out: TextIOBase) -> None:

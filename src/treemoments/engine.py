@@ -15,8 +15,9 @@ the marked series into a finite sum of plain powers of phi:
 
 with ff the falling factorial and coefficients at negative degree taken as
 zero.  numerator_grid computes one power phi^(n-k_hi) and each smaller k
-from the last by one multiplication by phi.  Everything is exact integer
-arithmetic; the leading division by n is checked to be exact.
+from the last by one multiplication by phi; numerator_grids steps that power
+across a range of n, as phi^(m+1) = phi * phi^m.  Everything is exact
+integer arithmetic; the leading division by n is checked to be exact.
 
 Requests are plain arguments.  The count f_n is the cell N_{0,0}(n), so
 count_trees reads it from a one-cell grid, as numerator_mixed reads its
@@ -26,6 +27,7 @@ proved from u = x*phi(u) instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
 from operator import add
 
@@ -119,36 +121,62 @@ def numerator_grid(
     With s2 == s1, N_{a,b} is N_{a+b} of s1 alone.  Child counts of n or
     more occur in no tree on n vertices, so the work is sized by n.
     """
-    check_query(child_set, n, s1, max_p1, s2, max_p2)
+    return next(numerator_grids(child_set, n, n, s1, s2, max_p1, max_p2))
+
+
+def numerator_grids(
+    child_set: ChildSet,
+    lo: int,
+    hi: int,
+    s1: int,
+    s2: int | None,
+    max_p1: int,
+    max_p2: int,
+) -> Iterator[dict[tuple[int, int], int]]:
+    """numerator_grid(child_set, n, s1, s2, max_p1, max_p2) for n = lo..hi.
+
+    With k = max_p1+max_p2 < n, the grid at n reads phi^(n-k).  A range
+    keeps that power's coefficients at degrees 0..n-1, O(hi^2) bits in all,
+    and moves to n+1 by one product with phi and one step of the power
+    recurrence for degree n.  A single n, and each n <= k, computes only the
+    window of its own power that its grid reads.
+    """
+    check_query(child_set, lo, s1, max_p1, s2, max_p2)
     if s2 == s1:
-        merged = numerator_grid(child_set, n, s1, None, max_p1 + max_p2, 0)
-        return {(a, b): merged[(a + b, 0)] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
-    child_set = child_set.within(n)
-    phi = child_set.offspring_polynomial()
-    t2 = 0 if s2 is None else s2
-    k_hi = min(max_p1 + max_p2, n)
-    # every degree read below is at least n - 1 - max_p1*s1 - max_p2*t2
-    lo = max(0, n - 1 - max_p1 * s1 - max_p2 * t2)
-    # A product with phi is exact only from deg(phi) above the lowest degree
-    # held (or from 0), so phi^(n-k_hi) starts k_hi*deg(phi) lower.
-    low = max(0, lo - k_hi * child_set.max_count)
-    power = poly_pow_coeffs(phi, n - k_hi, n - 1, min_deg=low)
-    powers = [(power, low)]  # (coefficients from degree low, low) of phi^(n-k_hi+i)
-    for _ in range(k_hi):
-        power, low = _times_phi(power, low, child_set)
-        powers.append((power, low))
-    powers.reverse()
+        for merged in numerator_grids(child_set, lo, hi, s1, None, max_p1 + max_p2, 0):
+            yield {(a, b): merged[(a + b, 0)] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
+        return
+    k, t2, full = max_p1 + max_p2, s2 or 0, None
+    for n in range(lo, hi + 1):
+        alone = n <= k or lo == hi
+        phi_set, k_hi = (child_set.within(n), min(k, n)) if alone else (child_set.within(hi), k)
+        # every degree read is at least n - 1 - max_p1*s1 - max_p2*t2; a
+        # product with phi is exact only from deg(phi) above the lowest
+        # degree held (or from 0), so phi^(n-k_hi) starts k_hi*deg(phi) lower
+        low = max(0, n - 1 - max_p1 * s1 - max_p2 * t2 - k_hi * phi_set.max_count)
+        if alone:
+            power = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k_hi, n - 1, min_deg=low)
+        elif full is None:
+            full = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k, n - 1)
+        else:
+            # phi^(n-k) at degrees 0..n-2, then degree j = n-1 by the power
+            # recurrence j*c_j = sum_s ((m+1)*s - j)*c_(j-s), m = n-k
+            full, j, m = _times_phi(full, 0, phi_set)[0], n - 1, n - k
+            steps = (((m + 1) * s - j) * full[j - s] for s in phi_set.elements[1:] if s <= j)
+            full.append(exact_div(sum(steps), j))
+        # (coefficients from degree low, low) of phi^(n-k_hi+i) for i = 0..k_hi
+        powers = [(power if alone else full[low:], low)]
+        for _ in range(k_hi):
+            powers.append(_times_phi(*powers[-1], phi_set))
+        yield _grid_cells(n, s1, t2, max_p1, max_p2, powers[::-1])
 
-    def coeff_at(k: int, degree: int) -> int:
-        if degree < 0 or degree > n - 1:
-            return 0
-        coeffs, low = powers[k]
-        return coeffs[degree - low]
 
+def _grid_cells(n, s1, t2, max_p1, max_p2, powers) -> dict[tuple[int, int], int]:
+    """The grid at n from powers[k] = (coefficients of phi^(n-k) from degree low, low)."""
     # S(b, k2) for every b, S(a, k1) one row at a time; k1 + k2 <= n, since
     # terms past it vanish with ff(n, k1 + k2)
     rows_b = list(islice(stirling2_rows(n), max_p2 + 1))
-    ffs = [falling_factorial(n, k) for k in range(k_hi + 1)]
+    ffs = [falling_factorial(n, k) for k in range(len(powers))]
     grid: dict[tuple[int, int], int] = {}
     for a, row_a in zip(range(max_p1 + 1), stirling2_rows(n)):
         for b, row_b in enumerate(rows_b):
@@ -157,10 +185,10 @@ def numerator_grid(
                 if w1 == 0:
                     continue
                 for k2, w2 in enumerate(row_b[: n - k1 + 1]):
-                    if w2 == 0:
-                        continue
-                    k = k1 + k2
-                    total += w1 * w2 * ffs[k] * coeff_at(k, n - 1 - k1 * s1 - k2 * t2)
+                    degree = n - 1 - k1 * s1 - k2 * t2
+                    if w2 and degree >= 0:
+                        coeffs, low = powers[k1 + k2]
+                        total += w1 * w2 * ffs[k1 + k2] * coeffs[degree - low]
             value = exact_div(total, n)
             if value < 0:
                 raise ArithmeticError(f"negative numerator N_{a},{b}({n}) = {value}")
@@ -179,8 +207,7 @@ def numerator_sequence(
     """Numerators for every n = 1..n_max (whole grid up to (p1, p2))."""
     check_query(child_set, n_max, s1, p1, s2, p2)
     values = {}
-    for n in range(1, n_max + 1):
-        grid = numerator_grid(child_set, n, s1, s2, p1, p2)
+    for n, grid in enumerate(numerator_grids(child_set, 1, n_max, s1, s2, p1, p2), 1):
         for (a, b), value in grid.items():
             values[(n, a, b)] = value
     return NumeratorTable(child_set, s1, s2, n_max, p1, p2, values)

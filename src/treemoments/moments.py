@@ -73,8 +73,9 @@ def _shift(values: list[int], n00: int, mean: int) -> int:
 class MomentGrid:
     """One numerator grid and everything derived from it, kept as integers."""
 
-    def __init__(self, spec: MomentSpec, max_p1: int, max_p2: int) -> None:
-        grid = numerator_grid(spec.child_set, spec.n, spec.s1, spec.s2, max_p1, max_p2)
+    def __init__(self, spec: MomentSpec, max_p1: int, max_p2: int, grid=None) -> None:
+        if grid is None:  # else numerator_grid's answer at these bounds, computed by the caller
+            grid = numerator_grid(spec.child_set, spec.n, spec.s1, spec.s2, max_p1, max_p2)
         if grid[(0, 0)] == 0:
             raise NoTrees(f"no trees on {spec.n} vertices for child set {spec.child_set}")
         self.spec, self.numerators, self.n00 = spec, grid, grid[(0, 0)]
@@ -219,13 +220,19 @@ class ScaledMoment(Value, hidden=("cell", "grid")):
         return SqrtExpr(Fraction(0), ((Fraction(self.sign), self.square),))
 
 
+def scaled_bounds(p1: int, p2: int) -> tuple[int, int]:
+    """The numerator grid bounds alpha_{p1,p2} reads: each variance it divides by."""
+    return max(p1, 2) if p1 else 0, max(p2, 2) if p2 else 0
+
+
 def scaled_moment(
-    spec: MomentSpec, p1: int, p2: int = 0, digits: int = DEFAULT_DIGITS
+    spec: MomentSpec, p1: int, p2: int = 0, digits: int = DEFAULT_DIGITS, grid=None
 ) -> ScaledMoment:
-    """alpha_{p1,p2}; needs positive variance for each statistic with p > 0."""
-    need_p1 = max(p1, 2 if p1 > 0 else 0)
-    need_p2 = max(p2, 2 if p2 > 0 else 0)
-    return MomentGrid(spec, need_p1, need_p2).scaled(p1, p2, digits)
+    """alpha_{p1,p2} from spec's numerator grid at scaled_bounds(p1, p2), unless given.
+
+    It needs positive variance for each statistic with p > 0.
+    """
+    return MomentGrid(spec, *scaled_bounds(p1, p2), grid).scaled(p1, p2, digits)
 
 
 def correlation(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> ScaledMoment:

@@ -26,6 +26,7 @@ from .values import Value
 TreeCode = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 18
+_TAIL_COUNTS = 1 << 14  # child counts a tail table of enumerate_trees may hold
 
 
 def is_valid_code(child_set: ChildSet, code) -> bool:
@@ -58,10 +59,32 @@ def parse_code(line: str) -> TreeCode:
     return tuple(int(tok) for tok in line.split())
 
 
+def _tail_table(elements: tuple[int, ...], n: int) -> tuple[int, dict[int, list[TreeCode]]]:
+    """(L, tails): tails[o] lists in lexicographic order every way to fill
+    the last L positions of a code with o slots open before them.
+
+    Built bottom-up by length while the table holds at most _TAIL_COUNTS
+    child counts, and L <= n.
+    """
+    length, tails = 1, {1: [(0,)]}
+    while length < n:
+        opens = {k + 1 - c for k in tails for c in elements if 0 < k + 1 - c <= length + 1}
+        grown = sum(len(tails.get(o + c - 1, ())) for o in opens for c in elements)
+        if grown * (length + 1) > _TAIL_COUNTS:
+            break
+        tails = {o: [(c, *t) for c in elements for t in tails.get(o + c - 1, ())] for o in opens}
+        length += 1
+    return length, tails
+
+
 def enumerate_trees(
     child_set: ChildSet, n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[TreeCode]:
-    """Yield every valid code on n vertices in lexicographic order."""
+    """Yield every valid code on n vertices in lexicographic order.
+
+    The first n - L positions are walked one at a time; at position n - L
+    each tail of the right open-slot count comes from _tail_table.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
@@ -70,14 +93,17 @@ def enumerate_trees(
     nonzero_gcd = math.gcd(*elements[1:]) if len(elements) > 1 else 0
     width = len(elements)
     last = n - 1
-    prefix = [0] * n  # the last vertex of a code is always a leaf
-    open_slots = [1] * n  # open slots before each position of the prefix
-    tried = [0] * n  # per position, how many elements have been tried there
+    length, tails = _tail_table(elements, n)
+    cut = n - length
+    prefix = [0] * cut
+    open_slots = [1] * (cut + 1)  # open slots before each position of the prefix
+    tried = [0] * cut  # per position, how many elements have been tried there
     pos = 0
     while pos >= 0:
-        if pos == last:
-            # the checks below leave exactly one open slot here, closed by a 0
-            yield tuple(prefix)
+        if pos == cut:
+            head = tuple(prefix)
+            for tail in tails.get(open_slots[cut], ()):
+                yield head + tail
             pos -= 1
             continue
         i = tried[pos]

@@ -330,3 +330,20 @@ def test_scaled_moment_weights_live_for_one_grid():
     peak, code = _peak_rss_mb("scaled -S 0,1,2 -n 30 --s1 0 --p 2000".split())
     assert code == 0
     assert peak < 25.0
+
+
+def test_code_blocks_stay_small_at_large_n():
+    # 15.95 MB at per-code writes; blocks of 256 codes took 18.93 MB here,
+    # where blocks of about 4096 counts hold two codes
+    peak, code = _peak_rss_mb("sample -S 0,1,2 -n 2000 --count 100".split())
+    assert code == 0
+    assert peak < 17.0
+
+
+def test_numerator_range_holds_one_power():
+    # a range keeps phi^(n-2) at degrees 0..n-1, O(hi^2) bits: 17.4 MB
+    # here (18.3 MB with no compiled modules cached), against 15.1 MB when
+    # each n computed its own window
+    peak, code = _peak_rss_mb("numerator -S 0,1,2 -n 1..2000 --s1 0 --p 2".split())
+    assert code == 0
+    assert peak < 20.0

@@ -461,6 +461,29 @@ class TestEnumerate:
         assert err.startswith("error: EnumerationTooLarge:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one-digit counts, written in blocks: several blocks and a short last one
+        "sample -S 0,1,2 -n 30 --count 300 --seed 2",
+        "sample -S 0,1,2 -n 5000 --count 2 --seed 2",
+        "enumerate -S 0,1,2 -n 10",
+        "enumerate -S 0,1,2,3,4,5,6,7,8,9 -n 7",
+        "enumerate -S 0,1,12 -n 9",  # 12 is no count at n = 9
+        "sample -S 0,1,12 -n 12 --count 20 --seed 2",
+        # a count above 9 can occur: one format_code per code
+        "sample -S 0,1,12 -n 20 --count 50 --seed 2",
+        "enumerate -S 0,1,12 -n 14",
+    ],
+)
+def test_text_codes_are_the_per_code_format(capsys, argv):
+    _, text, _ = run(capsys, *argv.split())
+    _, rows, _ = run(capsys, *argv.split(), "--format", "json")
+    codes = [json.loads(line)["code"] for line in rows.splitlines()]
+    assert codes
+    assert text == "".join(format_code(code) + "\n" for code in codes)
+
+
 class TestSample:
     def test_samples_are_valid_and_deterministic(self, capsys):
         argv = ("sample", "-S", "0,1,2", "-n", "30", "--seed", "4", "--count", "10")

@@ -8,6 +8,7 @@ from treemoments import (
     ChildSet,
     count_trees,
     numerator_grid,
+    numerator_grids,
     numerator_mixed,
     numerator_sequence,
 )
@@ -178,3 +179,28 @@ class TestOnePowerPerGrid:
             p2 = 0 if s2 is None else data.draw(st.integers(min_value=0, max_value=4))
         expected = per_k_binary_grid(child_set, n, s1, s2, p1, p2)
         assert numerator_grid(child_set, n, s1, s2, p1, p2) == expected
+
+
+class TestGridsAcrossARange:
+    @given(
+        support=st.sets(st.integers(min_value=1, max_value=70), min_size=1, max_size=4),
+        bounds=st.tuples(
+            st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)
+        ),
+        data=st.data(),
+    )
+    # from n = 1 with an element of lo or more, statistics up to it
+    @example(support={1, 12}, bounds=(1, 40), data=None)
+    @settings(max_examples=80, deadline=None)
+    def test_range_matches_per_n_grids(self, support, bounds, data):
+        child_set = ChildSet({0} | support)
+        lo, hi = sorted(bounds)
+        if data is None:
+            s1, s2, p1, p2 = 12, 1, 3, 2
+        else:
+            s1 = data.draw(st.sampled_from(child_set.elements))
+            s2 = data.draw(st.sampled_from([None, *child_set.elements]))
+            p1 = data.draw(st.integers(min_value=0, max_value=4))
+            p2 = 0 if s2 is None else data.draw(st.integers(min_value=0, max_value=4))
+        per_n = [numerator_grid(child_set, n, s1, s2, p1, p2) for n in range(lo, hi + 1)]
+        assert list(numerator_grids(child_set, lo, hi, s1, s2, p1, p2)) == per_n

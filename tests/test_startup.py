@@ -3,7 +3,8 @@
 Every `treemoments` command is a fresh interpreter, so each import it pays
 for is paid by every command.  dataclasses alone pulls in inspect, ast, dis
 and tokenize; the result types are built on values.Value instead, and
-annotations come from collections.abc, not typing.
+annotations come from collections.abc, not typing.  json and csv are
+imported only by the cli code that writes those formats.
 """
 
 import subprocess
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-AVOIDED = ("dataclasses", "inspect", "typing")
+AVOIDED = ("dataclasses", "inspect", "typing", "json", "csv")
 
 CHECK = f"""
 import sys

@@ -30,6 +30,8 @@ JOBS = [
 NUMERATOR_JOBS = [
     "count -S 0,1,2 -n 30",
     "numerator -S 0,1,2 -n 1..12 --s1 0 --s2 1 --p 2,1 --format csv",
+    # a range steps numerator_grids; only a single n calls numerator_mixed
+    "numerator -S 0,1,2 -n 12 --s1 0 --s2 1 --p 2,1",
     "guess-rec -S 0,1,2 --stat numerator --s1 0 --p 1 --terms 40 --max-order 2 --max-degree 2",
     "scaled -S 0,1,2 -n 20 --s1 0 --p 3",
 ]
