@@ -315,6 +315,16 @@ def test_count_holds_one_coefficient_window():
     assert peak < floor + 1.0
 
 
+def test_count_blocks_hold_one_coefficient_window():
+    # reach 3: each block's dense 3 x 3 transfer matrix and the state it
+    # divides stay near the size of the answer
+    floor, code = _peak_rss_mb("count -S 0,1,2,3 -n 1".split())
+    assert code == 0
+    peak, code = _peak_rss_mb("count -S 0,1,2,3 -n 30000".split())
+    assert code == 0
+    assert peak < floor + 1.0
+
+
 def test_scaled_moment_costs_its_cells_not_the_grid():
     # a (p+1) x (p+1) table of binomial weights took 154 MB and 4.5 s here
     t0 = time.perf_counter()

@@ -192,3 +192,38 @@ def test_stdout_and_exit_codes_are_pinned(command, child_set, n):
                 code = main(argv)
             digest.update(f"{fmt} {digits} {code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == DIGESTS[(command, child_set, n)]
+
+
+# stdout sha256 of inputs around the power kernel's leaps over whole blocks
+# below min_deg, taken before the leaps existed.  Leaps run in `count` at
+# {0,1,2} n=5000, {0,2} n=12001, {0,1,2,3} n=8000 and {0,1} n=3000 and in
+# both `numerator` pins; {0,2} n=3001 and the `moments` pin hold too few bits
+# to leap, and {0,1,5} has deg(phi) 5, so those three pin the per-step loop.
+BLOCKED_DIGESTS = {
+    "count -S 0,1,2 -n 5000":
+        "8509b2014d19cf014834a375d0d10a7aac16358a1e807c985182ba7aea7d1aa5",
+    "count -S 0,1,5 -n 4001":
+        "df85899f920a2f801f33d1ed5273d597405cddecc31daf17b996e3fae9249be3",
+    "count -S 0,2 -n 3001":
+        "b176028f5c4f72868a2e537d21295d29fce1444193dac18950d47c1d1369b58c",
+    "numerator -S 0,1,2 -n 3000 --s1 0 --s2 1 --p 3,3":
+        "a73bbf02c845d63d526f094dc8dd51e32892d8d9035047d14b19bf24bcaed4b1",
+    "moments -S 0,1,2,3 -n 1500 --s1 1 --s2 3 --max-p 2,2":
+        "098a238b14fa6f607bd3d4b2eb5694bd6ab64ec92f0217323a07aaed39c7eabf",
+    "count -S 0,2 -n 12001":
+        "9b087f2185326129bcd230b326e1829b3c626e5a1fe921754f1b69ae4cb10115",
+    "count -S 0,1,2,3 -n 8000":
+        "a243c36ec175ac87afd74b4c1bbaa318100eb285a830c70911334ccf523f0e48",
+    "count -S 0,1 -n 3000":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "numerator -S 0,1,2,3 -n 9000 --s1 1 --s2 3 --p 1,1":
+        "17ccd09eb6e0cff4fef5264ba25ece33c57a38045ec8e134dc172db08b0436a0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKED_DIGESTS))
+def test_blocked_power_kernel_output_is_pinned(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BLOCKED_DIGESTS[command]

@@ -1,10 +1,12 @@
 from itertools import combinations
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treemoments import polyint
 from treemoments.errors import NonUnitConstantTerm
 from treemoments.polyint import (
     _pow_binary,
@@ -22,6 +24,24 @@ def naive_pow(phi, m, max_deg):
     for _ in range(m):
         out = poly_mul_trunc(out, phi, max_deg)
     return out
+
+
+def reference_recurrence(phi, m, max_deg, min_deg):
+    """c_min_deg..c_max_deg of phi**m, one exact division per coefficient.
+
+    The power kernel's per-step loop as it ran before whole blocks of steps
+    below min_deg shared one division: the reference for the blocked path.
+    """
+    support = [(k, phi[k], phi[k] * (m + 1) * k) for k in range(1, len(phi)) if phi[k]]
+    if not support:
+        return ([1] + [0] * max_deg)[min_deg:]
+    reach = support[-1][0]
+    coeffs = [0] * reach + [1]
+    for j in range(1, max_deg + 1):
+        coeffs.append(exact_div(sum((bk_m1k - bk * j) * coeffs[-k] for k, bk, bk_m1k in support), j))
+        if j <= min_deg:
+            del coeffs[0]
+    return coeffs[reach:]
 
 
 def shifted_sum_pow(support, m, max_deg):
@@ -117,6 +137,55 @@ class TestPowerCoefficients:
         m, lo = max_deg + extra, min(lo, max_deg)
         full = shifted_sum_pow(support, m, max_deg)
         assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
+
+    # leaves of 1..4 steps, 1..4 to a block, reach the blocked path at small
+    # degrees, every reach 1..6 included, leaping from the first block or once
+    # the coefficients reach a few bits; min_deg sits on a block boundary or
+    # one step either side of it
+    @given(
+        support=st.dictionaries(
+            st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3), min_size=1, max_size=4
+        ),
+        m=st.integers(min_value=0, max_value=60),
+        leaf=st.integers(min_value=1, max_value=4),
+        leaves=st.integers(min_value=1, max_value=4),
+        blocks=st.integers(min_value=1, max_value=8),
+        offset=st.sampled_from((-1, 0, 1)),
+        extra=st.integers(min_value=0, max_value=10),
+        leap_bits=st.sampled_from((0, 40, 400)),
+    )
+    @example(support={1: 1, 5: 1}, m=40, leaf=2, leaves=2, blocks=8, offset=0, extra=3, leap_bits=0)
+    @example(support={3: 2}, m=2, leaf=1, leaves=3, blocks=6, offset=1, extra=0, leap_bits=0)  # m < reach
+    @example(support={1: 3, 6: 2}, m=60, leaf=4, leaves=2, blocks=7, offset=-1, extra=10, leap_bits=40)
+    @settings(max_examples=150, deadline=None)
+    def test_blocked_steps_match_the_per_step_loop(self, support, m, leaf, leaves, blocks, offset, extra, leap_bits):
+        phi = [1] + [support.get(k, 0) for k in range(1, max(support) + 1)]
+        block = leaf * leaves
+        min_deg = blocks * block + offset
+        max_deg = min_deg + extra
+        leaps = dict.fromkeys(range(1, 7), leap_bits)
+        with mock.patch.multiple(polyint, _BLOCK=block, _LEAF=leaf, _LEAP_BITS=leaps):
+            got = poly_pow_coeffs(phi, m, max_deg, min_deg)
+        assert got == _pow_binary(phi, m, max_deg)[min_deg:]
+        assert got == reference_recurrence(phi, m, max_deg, min_deg)
+
+    @pytest.mark.parametrize("phi", [[1, 1], [1, 2, 3], [1, 0, 1], [1, 1, 0, 2], [1, 0, 0, 1]])
+    @pytest.mark.parametrize("min_deg", [1023, 1024, 1025, 2049])
+    def test_blocks_at_full_size(self, phi, min_deg):
+        m = 1500
+        with mock.patch.object(polyint, "_LEAP_BITS", dict.fromkeys(range(1, 4), 0)):
+            got = poly_pow_coeffs(phi, m, min_deg + 5, min_deg)
+        assert got == reference_recurrence(phi, m, min_deg + 5, min_deg)
+
+    @pytest.mark.parametrize(
+        "phi, min_deg", [([1, 1, 1], 1023), ([1, 1, 1, 1, 1], 1500), ([1, 1, 0, 0, 0, 1], 2100), ([1, 0, 1, 1], 2100)]
+    )
+    def test_per_step_loop_below_a_block_beyond_the_reach_or_on_small_coefficients(self, phi, min_deg):
+        # min_deg below one block, deg(phi) past 3, or coefficients too short
+        # to pay for a leap ({0,2,3} at degree 2100 of phi^900: 1.2 k bits)
+        with mock.patch.object(polyint, "_leap", side_effect=AssertionError("leapt")):
+            got = poly_pow_coeffs(phi, 900, min_deg + 2, min_deg)
+        assert got == reference_recurrence(phi, 900, min_deg + 2, min_deg)
 
     def test_min_deg_outside_the_range_is_rejected(self):
         with pytest.raises(ValueError):
