@@ -10,9 +10,9 @@ exactly uniform random sampling.  All arithmetic is exact.
 """
 
 from .childset import ChildSet
-from .derived import count_range
 from .engine import (
     NumeratorTable,
+    count_range,
     count_trees,
     numerator_grid,
     numerator_grids,

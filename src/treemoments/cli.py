@@ -25,8 +25,8 @@ from io import TextIOBase
 from random import Random
 
 from .childset import ChildSet
-from .derived import count_range
-from .engine import check_query, count_trees, numerator_grids, numerator_mixed, numerator_sequence
+from .engine import check_query, count_range, count_trees, numerator_grids
+from .engine import numerator_mixed, numerator_sequence
 from .errors import DomainError
 from .gaussref import normality_gap_report
 from .moments import DEFAULT_DIGITS, MomentSpec, moment_report, scaled_bounds, scaled_moment
@@ -169,7 +169,7 @@ def _per_n(
 
 
 def _cmd_count(args: argparse.Namespace, out: TextIOBase) -> None:
-    # one n stays on the power kernel; a range steps a derived recurrence
+    # one n reads one coefficient of phi^n; a range steps a window of it across n
     lo, hi = args.n
     if lo == hi:
         counts: Iterable[int] = [count_trees(args.child_set, lo)]

@@ -14,15 +14,15 @@ the marked series into a finite sum of plain powers of phi:
                 * [z^(n-1-k1*s1-k2*s2)] phi(z)^(n-k1-k2)
 
 with ff the falling factorial and coefficients at negative degree taken as
-zero.  numerator_grid computes one power phi^(n-k_hi) and each smaller k
-from the last by one multiplication by phi; numerator_grids steps that power
-across a range of n, as phi^(m+1) = phi * phi^m.  Everything is exact
-integer arithmetic; the leading division by n is checked to be exact.
+zero.  numerator_grid computes the window of one power phi^(n-k_hi) that
+its grid reads and each smaller k from the last by one multiplication by
+phi.  Across a range of n, _powers moves that window from n to n+1, and
+numerator_grids and count_range read it.  Everything is exact integer
+arithmetic; every division is checked to be exact.
 
 Requests are plain arguments.  The count f_n is the cell N_{0,0}(n), so
 count_trees reads it from a one-cell grid, as numerator_mixed reads its
-cell; for counts at a range of n, derived.count_range steps a recurrence
-proved from u = x*phi(u) instead.
+cell.
 """
 
 from __future__ import annotations
@@ -135,40 +135,71 @@ def numerator_grids(
 ) -> Iterator[dict[tuple[int, int], int]]:
     """numerator_grid(child_set, n, s1, s2, max_p1, max_p2) for n = lo..hi.
 
-    With k = max_p1+max_p2 < n, the grid at n reads phi^(n-k).  A range
-    keeps that power's coefficients at degrees 0..n-1, O(hi^2) bits in all,
-    and moves to n+1 by one product with phi and one step of the power
-    recurrence for degree n.  A single n, and each n <= k, computes only the
-    window of its own power that its grid reads.
+    Each grid reads the window of phi^(n-k_hi) that _powers yields, k_hi =
+    min(max_p1+max_p2, n), and multiplies it by phi k_hi times.
     """
     check_query(child_set, lo, s1, max_p1, s2, max_p2)
     if s2 == s1:
         for merged in numerator_grids(child_set, lo, hi, s1, None, max_p1 + max_p2, 0):
             yield {(a, b): merged[(a + b, 0)] for a in range(max_p1 + 1) for b in range(max_p2 + 1)}
         return
-    k, t2, full = max_p1 + max_p2, s2 or 0, None
-    for n in range(lo, hi + 1):
-        alone = n <= k or lo == hi
-        phi_set, k_hi = (child_set.within(n), min(k, n)) if alone else (child_set.within(hi), k)
-        # every degree read is at least n - 1 - max_p1*s1 - max_p2*t2; a
-        # product with phi is exact only from deg(phi) above the lowest
-        # degree held (or from 0), so phi^(n-k_hi) starts k_hi*deg(phi) lower
-        low = max(0, n - 1 - max_p1 * s1 - max_p2 * t2 - k_hi * phi_set.max_count)
-        if alone:
-            power = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k_hi, n - 1, min_deg=low)
-        elif full is None:
-            full = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k, n - 1)
-        else:
-            # phi^(n-k) at degrees 0..n-2, then degree j = n-1 by the power
-            # recurrence j*c_j = sum_s ((m+1)*s - j)*c_(j-s), m = n-k
-            full, j, m = _times_phi(full, 0, phi_set)[0], n - 1, n - k
-            steps = (((m + 1) * s - j) * full[j - s] for s in phi_set.elements[1:] if s <= j)
-            full.append(exact_div(sum(steps), j))
+    k, t2 = max_p1 + max_p2, s2 or 0
+    windows = _powers(child_set, lo, hi, k, max_p1 * s1 + max_p2 * t2)
+    for n, (phi_set, power, low) in enumerate(windows, lo):
         # (coefficients from degree low, low) of phi^(n-k_hi+i) for i = 0..k_hi
-        powers = [(power if alone else full[low:], low)]
-        for _ in range(k_hi):
+        powers = [(power, low)]
+        for _ in range(min(k, n)):
             powers.append(_times_phi(*powers[-1], phi_set))
         yield _grid_cells(n, s1, t2, max_p1, max_p2, powers[::-1])
+
+
+def count_range(child_set: ChildSet, lo: int, hi: int) -> Iterator[int]:
+    """f_lo, ..., f_hi, each yielded as soon as it is known.
+
+    f_n is c_(n-1)/n for c the window of phi^n that _powers yields.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError("need 1 <= lo <= hi")
+    windows = _powers(child_set, lo, hi, 0, 0)
+    return (exact_div(power[-1], n) for n, (_, power, _) in enumerate(windows, lo))
+
+
+def _powers(
+    child_set: ChildSet, lo: int, hi: int, k: int, shift: int
+) -> Iterator[tuple[ChildSet, list[int], int]]:
+    """(within(n), coefficients of phi^(n-k_hi) at degrees low..n-1, low) for n = lo..hi.
+
+    k_hi = min(k, n).  A grid at n reads degrees n-1-shift-k_hi*R and up
+    after k_hi products with phi, R = deg(phi), so a single n starts its
+    window there.  A range holds at least 2R coefficients and moves from
+    n-1 to n, with m = n-k, by one product with phi, degree n-1 by the power
+    recurrence j*c_j = sum_s ((m+1)*s - j)*c_(j-s), and the R-1 degrees the
+    product drops at the bottom by the same identity solved for its s = R
+    term.  Its divisor (m+1)*R - j is positive once n > 2k; up to there, and
+    where an element of S becomes a possible child count, the window starts
+    afresh.
+    """
+    for n in range(lo, hi + 1):
+        if n == lo or n <= 2 * k or n - 1 in child_set:
+            phi_set, k_hi = child_set.within(n), min(k, n)
+            reach, elements = phi_set.max_count, phi_set.elements
+            width = shift + k_hi * reach
+            if lo < hi:
+                width = max(width, 2 * reach - 1)
+            low = max(0, n - 1 - width)
+            power = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k_hi, n - 1, min_deg=low)
+        else:
+            m, j = n - k, n - 1
+            power, start = _times_phi(power, low, phi_set)
+            steps = (((m + 1) * s - j) * power[j - s - start] for s in elements[1:])
+            power.append(exact_div(sum(steps), j))
+            low = max(0, j - width)
+            del power[: max(0, low - start)]  # from 0, the window may just move up
+            for j in range(start - 1 + reach, low - 1 + reach, -1):
+                # c_(j-R) from c_(j-R+1)..c_j, power[0] holding c_(j-R+1)
+                steps = ((j - (m + 1) * s) * power[reach - 1 - s] for s in elements[:-1])
+                power.insert(0, exact_div(sum(steps), (m + 1) * reach - j))
+        yield phi_set, power, low
 
 
 def _grid_cells(n, s1, t2, max_p1, max_p2, powers) -> dict[tuple[int, int], int]:

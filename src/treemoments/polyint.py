@@ -40,7 +40,7 @@ def exact_div(a: int, b: int) -> int:
 
 
 def poly_mul_trunc(a: Poly, b: Poly, max_deg: int) -> Poly:
-    """Product a*b with every term of degree > max_deg dropped."""
+    """Product a*b with every term of degree > max_deg dropped; _pow_binary's step."""
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     out = [0] * (max_deg + 1)

@@ -21,8 +21,7 @@ row space, then gives one primitive vector per free column (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968).  The row space fixes the reduced row
 echelon form, so each vector is a positive multiple of the one an all-rows
-rational solve gives.  derived uses the same solver to find ODEs that are
-proved rather than guessed.
+rational solve gives.
 
 Sequence indexing: seq[i] is the term a_{start+i}; start defaults to 1.
 """

@@ -351,9 +351,26 @@ def test_code_blocks_stay_small_at_large_n():
 
 
 def test_numerator_range_holds_one_power():
-    # a range keeps phi^(n-2) at degrees 0..n-1, O(hi^2) bits: 17.4 MB
-    # here (18.3 MB with no compiled modules cached), against 15.1 MB when
-    # each n computed its own window
+    # a range steps a window of phi^(n-2) of a few coefficients below
+    # degree n; holding that power at degrees 0..n-1, O(hi^2) bits, took
+    # 17.4 MB here (18.3 MB with no compiled modules cached)
     peak, code = _peak_rss_mb("numerator -S 0,1,2 -n 1..2000 --s1 0 --p 2".split())
     assert code == 0
     assert peak < 20.0
+
+
+def test_a_short_numerator_range_at_large_n_holds_a_window():
+    # phi^(n-2) at degrees 0..n-1 took 60.3 MB here
+    peak, code = _peak_rss_mb("numerator -S 0,1,2 -n 9999..10000 --s1 0 --p 2".split())
+    assert code == 0
+    assert peak < 20.0
+
+
+def test_a_count_range_with_a_large_child_count_steps_its_window():
+    # a linear ODE searched over orders up to max(S), then abandoned for a
+    # count per n, took 3.9 s and 22.8 MB here
+    t0 = time.perf_counter()
+    peak, code = _peak_rss_mb("count -S 0,1,2,150 -n 1..200".split())
+    assert code == 0
+    assert peak < 17.0
+    assert time.perf_counter() - t0 < 1.0
