@@ -51,7 +51,6 @@ from .moments import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    JointCoefficient,
     MonteCarloEstimate,
     TreeSampler,
     child_count_distribution,
@@ -110,7 +109,6 @@ __all__ = [
     "correlation",
     "moment_report",
     "DEFAULT_ENUMERATION_CAP",
-    "JointCoefficient",
     "MonteCarloEstimate",
     "TreeSampler",
     "child_count_distribution",

@@ -4,8 +4,11 @@ Trees are encoded as preorder child-count sequences (Lukasiewicz codes): a
 sequence c_1..c_n over the child set is a valid tree iff the partial sums of
 (c_i - 1) stay >= 0 strictly before the end and finish at -1.  This module
 never touches the Lagrange-inversion engine; its counts and numerators come
-from direct enumeration or from iterating the defining functional equation
-f = x * sum_s y_s f^s, so it can serve as an independent cross-check.
+from direct enumeration or from solving the defining functional equation
+f = x * sum_s y_s f^s degree by degree, so it can serve as an independent
+cross-check.  Both give the joint law of the child counts in one shape: a
+dict from count vector (aligned with the child set's elements) to the
+number of trees with those counts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from random import Random
 
 from .childset import ChildSet
@@ -43,16 +46,9 @@ def is_valid_code(child_set: ChildSet, code) -> bool:
     return open_slots == 0
 
 
-_DIGITS = {c: str(c) for c in range(10)}
-
-
 def format_code(code) -> str:
     """The child counts of a code joined by spaces."""
-    code = tuple(code)  # read again through str when a count is outside 0..9
-    try:
-        return " ".join(map(_DIGITS.__getitem__, code))
-    except KeyError:
-        return " ".join(map(str, code))
+    return " ".join(map(str, code))
 
 
 def parse_code(line: str) -> TreeCode:
@@ -169,77 +165,45 @@ def oracle_numerator(
     return total
 
 
-class JointCoefficient(Value):
-    """One monomial of the joint generating polynomial at x^n."""
-
-    __slots__ = ("n", "exponents", "count")
-
-    def __init__(self, n: int, exponents: tuple[int, ...], count: int) -> None:
-        self._set(n, exponents, count)  # exponents align with child_set.elements
-
-
 def joint_gf_fixpoint(
     child_set: ChildSet, n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[int, list[JointCoefficient]]:
-    """Truncation of the solution of f = x * sum_s y_s f^s up to x^n_max.
+) -> dict[int, dict[tuple[int, ...], int]]:
+    """The coefficients of x^1..x^n_max of the solution of f = x * sum_s y_s f^s.
 
-    The solution has valuation 1 in x, so n_max iterations of the right-hand
-    side starting from 0 pin down every coefficient through x^n_max.
-    Returned monomials are sorted by exponent vector.
+    Entry n maps each exponent vector of the y_s (aligned with
+    child_set.elements) to its coefficient, sorted: the shape
+    child_count_distribution(child_set, n) answers in.  f has valuation 1,
+    so [x^d] f = sum_s y_s [x^(d-1)] f^s and [x^d] f^e = sum_{0<a<d}
+    [x^a] f [x^(d-a)] f^(e-1) read only degrees below d, and each degree of
+    f and of its powers is computed once.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > cap:
         raise EnumerationTooLarge(f"n_max={n_max} exceeds cap {cap}")
     elements = child_set.elements
-    width = len(elements)
-    zero_exp = (0,) * width
-    top = min(child_set.max_count, n_max - 1)  # x * f^exp starts at x^(exp+1)
-    # series[n] maps exponent vector over (y_s) to an integer coefficient
-    series: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
-
-    def mul(a, b):
-        out: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
-        for na, monos_a in enumerate(a):
-            if not monos_a:
-                continue
-            for nb in range(n_max + 1 - na):
-                monos_b = b[nb]
-                if not monos_b:
-                    continue
-                bucket = out[na + nb]
-                for ea, ca in monos_a.items():
-                    for eb, cb in monos_b.items():
-                        key = tuple(x + y for x, y in zip(ea, eb))
-                        bucket[key] = bucket.get(key, 0) + ca * cb
-        return out
-
-    for _ in range(n_max):
-        current: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
-        current[0][zero_exp] = 1  # running power f^exp, starting at f^0
-        new: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n_max + 1)]
-        for exp in range(top + 1):
-            if exp in child_set:
-                mark_idx = elements.index(exp)  # y_exp marks the root
-                for deg in range(n_max):
-                    bucket = new[deg + 1]
-                    for evec, coeff in current[deg].items():
-                        key = list(evec)
-                        key[mark_idx] += 1
-                        key = tuple(key)
-                        bucket[key] = bucket.get(key, 0) + coeff
-            if exp < top:
-                current = mul(current, series)
-        series = new
-
-    result: dict[int, list[JointCoefficient]] = {}
-    for n in range(1, n_max + 1):
-        result[n] = [
-            JointCoefficient(n, evec, coeff)
-            for evec, coeff in sorted(series[n].items())
-            if coeff
-        ]
-    return result
+    top = min(child_set.max_count, n_max - 1)  # x * f^s starts at x^(s+1)
+    marks = [(s, tuple(int(t == s) for t in elements)) for s in elements if s <= top]
+    # powers[e][d] = [x^d] f^e; only f^0 = 1 has a constant term
+    powers = [[{(0,) * len(elements): 1}] + [{}] * n_max]
+    powers += [[{}] for _ in range(max(top, 1))]
+    f = powers[1]
+    for d in range(1, n_max + 1):
+        f_d: dict[tuple[int, ...], int] = {}
+        for s, mark in marks:  # y_s marks a root with s children
+            for vec, c in powers[s][d - 1].items():
+                key = tuple(map(add, vec, mark))
+                f_d[key] = f_d.get(key, 0) + c
+        f.append(f_d)
+        for e in range(2, top + 1):
+            power_d: dict[tuple[int, ...], int] = {}
+            for a in range(1, d):
+                for va, ca in f[a].items():
+                    for vb, cb in powers[e - 1][d - a].items():
+                        key = tuple(map(add, va, vb))
+                        power_d[key] = power_d.get(key, 0) + ca * cb
+            powers[e].append(power_d)
+    return {n: dict(sorted(f[n].items())) for n in range(1, n_max + 1)}
 
 
 # The cycle lemma's table has O(n^(|S|-2)) rows in O(n^(|S|-3)) runs: up to

@@ -13,6 +13,7 @@ import pytest
 from treemoments import (
     ChildSet,
     TreeSampler,
+    child_count_distribution,
     count_range,
     count_trees,
     joint_gf_fixpoint,
@@ -86,9 +87,10 @@ def test_sampler_draws_do_not_depend_on_a_huge_child_count(elements, n, huge):
 
 @pytest.mark.parametrize("elements", SETS)
 def test_fixpoint_ignores_a_huge_child_count(elements):
-    big = joint_gf_fixpoint(plus(elements, HUGE[0]), 7)
+    big_set = plus(elements, HUGE[0])
+    big = joint_gf_fixpoint(big_set, 7)
     small = joint_gf_fixpoint(ChildSet(elements), 7)
-    for n, monos in big.items():
-        assert [(m.n, m.exponents, m.count) for m in monos] == [
-            (m.n, (*m.exponents, 0), m.count) for m in small[n]
-        ]
+    assert list(big) == list(small)
+    for n, dist in big.items():
+        assert list(dist.items()) == [((*k, 0), c) for k, c in small[n].items()]
+        assert dist == child_count_distribution(big_set, n)
