@@ -272,6 +272,14 @@ class TestFixpoint:
             for n in range(1, 10):
                 assert series[n] == child_count_distribution(child_set, n), (child_set, n)
 
+    def test_orders_with_no_power_above_f(self):
+        # min(max S, n_max - 1) = 0: f still needs its row of degrees
+        assert joint_gf_fixpoint(ChildSet((0,)), 4) == {1: {(1,): 1}, 2: {}, 3: {}, 4: {}}
+        for child_set in FAMILY:
+            assert joint_gf_fixpoint(child_set, 1) == {1: child_count_distribution(child_set, 1)}
+        with pytest.raises(ValueError):
+            joint_gf_fixpoint(S012, 0)
+
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             joint_gf_fixpoint(S012, 19)
