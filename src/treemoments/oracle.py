@@ -207,10 +207,11 @@ def joint_gf_fixpoint(
 
 
 # The cycle lemma's table has O(n^(|S|-2)) rows in O(n^(|S|-3)) runs: up to
-# this size it keeps O(n) checkpoints.  Above it the recursive method is
-# cheaper: at S={0,1,2,3,4}, n=300 the table has 195 075 rows in 22 203
-# runs, and a build plus 100 draws takes 0.45 s and 26 MB peak, against
-# 0.10 s and 17 MB for the recursive method.
+# this size it keeps O(n) checkpoints, and its draws cost less than the
+# halving word's.  Above it the halving word is cheaper: at S={0,1,2,3,4},
+# n=300 the table has 195 075 rows in 22 203 runs, and a build plus 100
+# draws takes 0.35 s and 24.6 MB peak, against 0.04 s and 15.5 MB (the
+# interpreter's floor) for the halving word.
 CYCLE_LEMMA_MAX_SET = 4
 
 
@@ -261,8 +262,9 @@ def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
     """The rotation of seq that starts just after the first minimum of its walk.
 
     For a sequence of n child counts summing to n-1 this is the one rotation
-    that is a valid code (cycle lemma).  _CycleLemma.sample takes the same
-    cut from _shuffle; this walk is the reference for decision_probability.
+    that is a valid code (cycle lemma).  _HalvingWord.sample cuts its word
+    here, _CycleLemma.sample takes the same cut from _shuffle, and
+    TreeSampler.decision_probability counts the rotations it cuts to a code.
     """
     walk = list(map(sub, accumulate(seq), range(1, len(seq) + 1)))
     cut = walk.index(min(walk)) + 1
@@ -413,122 +415,101 @@ class _CycleLemma:
         cut = _shuffle(rng, seq)
         return (*seq[cut:], *seq[:cut])
 
-    def decision_probability(self, code) -> Fraction:
-        # distinct shuffles that the rotation rule turns into this code, each
-        # drawn with probability 1/total
-        rotations = {code[i:] + code[:i] for i in range(len(code))}
-        hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
-        return Fraction(hits, self.total)
 
+class _HalvingWord:
+    """Draw a word of n child counts summing to n - 1 by halving its sum.
 
-class _RecursiveMethod:
-    """Pick the root's child count i with probability (#trees whose root has
-    i children)/f_n, then split the n-1 remaining vertices among the i
-    subtrees left to right, each split weighted by exact subtree-count
-    products (Flajolet, Zimmermann & Van Cutsem 1994).
+    The words of m letters from S with sum r number c(m, r) = [z^r] phi^m
+    for phi = sum(z^s for s in S).  A word of m > 1 letters splits into
+    halves of a = m // 2 and b = m - a letters, and the first half's sum r1
+    is drawn with weight c(a, r1) * c(b, r - r1) from one draw below
+    c(m, r): the weights are subtracted from it, r1 scanned outward from
+    r * a // m (Flajolet, Zimmermann & Van Cutsem 1994), until it goes
+    negative.  The weights of a split sum to c(m, r), so every word has
+    probability 1/total for total = c(n, n - 1) = n * f_n, and its rotation
+    by _lukasiewicz_rotation is a tree of probability n/total = 1/f_n
+    (cycle lemma).  Each draw takes the words rng.randrange(c(m, r)) would.
 
-    The only table is conv[i][t], the number of forests of i trees on t
-    vertices: O(n^2) bits per row.  Each choice subtracts its candidates'
-    weights, read from conv, from one randrange draw until the draw goes
-    negative, so a draw builds nothing and memory does not grow with draws.
+    Only the sizes that halving n reaches have a row, about 2 * log2(n) of
+    them, each of the n coefficients of degree below n, built by the power
+    recurrence j * p_j = sum_k ((m + 1) * k - j) * p_(j-k) over the nonzero
+    k in S: big-by-small steps, each division exact.  A draw builds nothing.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
         self.n = n
-        self.elements = child_set.within(n).elements  # larger counts weigh 0
-        max_c = max(1, self.elements[-1])
-        # conv[i][t] = number of forests of i ordered trees with t vertices;
-        # a forest of one tree is a tree, so conv[1] is the tree counts f
-        conv = [[0] * (n + 1) for _ in range(max_c + 1)]
-        conv[0][0] = 1
-        f = conv[1]
-        for m in range(1, n + 1):
-            f[m] = sum(conv[i][m - 1] for i in self.elements)
-            for i in range(2, max_c + 1):
+        steps = child_set.within(n).elements[1:]  # larger counts weigh 0
+        sizes: set[int] = set()
+        level = {n}
+        while level:
+            sizes |= level
+            level = {h for m in level if m > 1 for h in (m // 2, m - m // 2)}
+        self.rows: dict[int, list[int]] = {}
+        rows = self.rows
+        for m in sizes:
+            row = rows[m] = [1] + [0] * (n - 1)
+            for j in range(1, min(n, m * steps[-1] + 1) if steps else 1):
                 acc = 0
-                prev = conv[i - 1]
-                for a in range(1, m + 1):
-                    if f[a]:
-                        acc += f[a] * prev[m - a]
-                conv[i][m] = acc
-        if f[n] == 0:
+                for k in steps:
+                    if k > j:
+                        break
+                    acc += ((m + 1) * k - j) * row[j - k]
+                row[j] = acc // j
+        self.total = rows[n][n - 1]  # n * f_n
+        if not self.total:
             raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
-        self.tree_counts = f
-        self._conv = conv
 
     def sample(self, rng: Random) -> TreeCode:
-        """One uniform tree; consumes a deterministic number of rng draws."""
-        conv = self._conv
-        f = conv[1]
-        elements = self.elements
-        randrange = rng.randrange
-        code: list[int] = []
-        append = code.append
-        stack = [self.n]
+        rows = self.rows
+        getrandbits = rng.getrandbits
+        word: list[int] = []
+        append = word.append
+        stack = [self.n, self.n - 1]  # (letters, sum) of each half to draw, flat
+        pop = stack.pop
         while stack:
-            m = stack.pop()
+            r = pop()
+            m = pop()
             if m == 1:
-                append(0)
+                append(r)
                 continue
-            draw = randrange(f[m])
-            for i in elements:
-                draw -= conv[i][m - 1]
-                if draw < 0:
-                    break
-            append(i)
-            total = m - 1
-            part_sizes = []
-            for parts in range(i, 1, -1):  # the last subtree's size is forced
-                rest = conv[parts - 1]
-                draw = randrange(conv[parts][total])
-                a = 0
-                while draw >= 0:
-                    a += 1
-                    draw -= f[a] * rest[total - a]
-                part_sizes.append(a)
-                total -= a
-            part_sizes.append(total)
-            stack.extend(reversed(part_sizes))
-        return tuple(code)
-
-    def decision_probability(self, code) -> Fraction:
-        """Exact probability that sample() emits this valid code on n vertices."""
-        f = self.tree_counts
-        conv = self._conv
-        # every subtree size from one reverse pass: the sizes of a vertex's
-        # subtrees are the last code[pos] pushed, its first subtree on top
-        sizes = [0] * self.n
-        stack: list[int] = []
-        for pos in range(self.n - 1, -1, -1):
-            sizes[pos] = 1 + sum(stack.pop() for _ in range(code[pos]))
-            stack.append(sizes[pos])
-        prob = Fraction(1)
-        for pos, i in enumerate(code):
-            m = sizes[pos]
-            if m == 1:
-                continue
-            prob *= Fraction(conv[i][m - 1], f[m])
-            cursor = pos + 1
-            total = m - 1
-            for parts in range(i, 1, -1):  # the last subtree's size is forced
-                size = sizes[cursor]
-                prob *= Fraction(f[size] * conv[parts - 1][total - size], conv[parts][total])
-                cursor += size
-                total -= size
-        return prob
+            a = m >> 1
+            left = rows[a]
+            right = rows[m - a]
+            total = rows[m][r]
+            width = total.bit_length()
+            draw = getrandbits(width)
+            while draw >= total:  # rng.randrange(total), inline
+                draw = getrandbits(width)
+            r1 = lo = hi = r * a // m
+            draw -= left[r1] * right[r - r1]
+            while draw >= 0:
+                if hi < r:
+                    hi += 1
+                    draw -= left[hi] * right[r - hi]
+                    if draw < 0:
+                        r1 = hi
+                        break
+                if lo:
+                    lo -= 1
+                    draw -= left[lo] * right[r - lo]
+                    r1 = lo
+            stack += (m - a, r - r1, a, r1)
+        return _lukasiewicz_rotation(word)
 
 
 class TreeSampler:
     """Exactly uniform sampler over trees on n vertices.
 
-    For |S| <= CYCLE_LEMMA_MAX_SET it uses the cycle lemma (Dvoretzky &
-    Motzkin 1947; Devroye 2012): draw a child-count vector with weight
-    multinomial(n; k), shuffle, and rotate to the one valid code.  For larger
-    S it uses the recursive method, whose one table holds at most max(2, n)
-    rows of n + 1 forest counts whatever S is; S picks the method, so
-    dropping counts of n or more changes no draw.  All weights are exact
-    integers: no tree is ever rejected, neither path uses floating point,
-    and the cycle lemma takes the words rng.randrange and rng.shuffle would.
+    Both methods draw a uniform word of n child counts summing to n - 1 and
+    rotate it to its one valid code (cycle lemma: Dvoretzky & Motzkin 1947;
+    Devroye 2012), so each tree has probability n/total = 1/f_n.  For |S| <=
+    CYCLE_LEMMA_MAX_SET the word is a child-count vector drawn with weight
+    multinomial(n; k), then shuffled.  For larger S it is drawn by halving
+    its sum, from about 2 * log2(n) rows of powers of phi up to degree n - 1,
+    whatever max S is; S picks the method, so dropping counts of n or more
+    changes no draw.  All weights are exact integers: no tree is ever
+    rejected, neither path uses floating point, and both take the words
+    rng.randrange (and rng.shuffle) would.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
@@ -539,7 +520,7 @@ class TreeSampler:
         if len(child_set) <= CYCLE_LEMMA_MAX_SET:
             self._method = _CycleLemma(child_set, n)
         else:
-            self._method = _RecursiveMethod(child_set, n)
+            self._method = _HalvingWord(child_set, n)
 
     def sample(self, rng: Random) -> TreeCode:
         """One uniform tree; deterministic in the state of rng."""
@@ -550,7 +531,11 @@ class TreeSampler:
         code = tuple(code)
         if len(code) != self.n or not is_valid_code(self.child_set, code):
             return Fraction(0)  # never drawn: wrong length, child count or walk
-        return self._method.decision_probability(code)
+        # both methods draw each word with probability 1/total; count the
+        # distinct words that the rotation rule turns into this code
+        rotations = {code[i:] + code[:i] for i in range(len(code))}
+        hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
+        return Fraction(hits, self._method.total)
 
 
 def sample_tree_uniform(child_set: ChildSet, n: int, rng_seed: int) -> TreeCode:

@@ -289,6 +289,16 @@ def test_sampler_memory_grows_with_n_not_with_max_s():
     assert peak < 40.0
 
 
+def test_halving_word_memory_grows_with_n_not_with_max_s():
+    # a forest table with a row per child count below n, up to 500, took
+    # 11.8 s and 34.2 MB here
+    floor, code = _peak_rss_mb("count -S 0,1,2,3,500 -n 1".split())
+    assert code == 0
+    peak, code = _peak_rss_mb("sample -S 0,1,2,3,500 -n 600 --count 3".split())
+    assert code == 0
+    assert peak < floor + 2.0
+
+
 def test_count_range_memory_grows_with_n_not_with_max_s():
     # a dense offspring polynomial up to max(S) and an ODE search over
     # orders up to max(S) took 56.8 MB here

@@ -18,8 +18,9 @@ checks that:
   gives count_trees of them, and a repeated seed repeats the draws.
 
 A timer bounds each CLI call at TIME_LIMIT_S, far above its cost: the
-slowest cases, samples from |S| >= 5 with a large element below n, take
-about 0.4 s (sample -S 0,1,2,3,190 -n 200).  Enumeration stays at n <= 10, since its output is the whole
+slowest calls of a sweep take about 0.05 s, and a sample from |S| >= 5
+with a large element below n about 6 ms (sample -S 0,1,2,3,190 -n 200).
+Enumeration stays at n <= 10, since its output is the whole
 tree class (about 10**8 codes at S = {0..5}, n = 18).
 """
 

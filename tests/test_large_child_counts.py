@@ -62,7 +62,7 @@ def test_numerators_ignore_a_huge_child_count(elements, huge):
     )
 
 
-# (elements, n): |S| = 4 takes the cycle lemma, |S| = 5 the recursive method
+# (elements, n): |S| = 4 takes the cycle lemma, |S| = 5 the halving word
 DRAWS = [
     ((0, 1, 2), 3), ((0, 1, 2), 9), ((0, 1, 2), 20),
     ((0, 2, 3), 1), ((0, 2, 3), 9), ((0, 2, 3), 20),

@@ -1,8 +1,10 @@
+import ast
 import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product, zip_longest
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,6 +28,7 @@ from treemoments import (
 )
 from treemoments.oracle import (
     _CycleLemma,
+    _HalvingWord,
     _lukasiewicz_rotation,
     _outer_counts,
     _shuffle,
@@ -107,6 +110,74 @@ def per_row_table(child_set, n):
             k_last -= drop
             k_zero -= lose
     return vectors, cums
+
+
+def plain_power_row(child_set, m, n):
+    """[z^r] phi^m for r < n, phi multiplied in m times, truncated at degree n - 1."""
+    row = [1] + [0] * (n - 1)
+    for _ in range(m):
+        row = [sum(row[r - s] for s in child_set if s <= r) for r in range(n)]
+    return row
+
+
+def halving_walk(rows, m, r):
+    """Every word of m letters with sum r that _HalvingWord draws, with its
+    exact probability: each split decision weighed by c(a, r1) * c(b, r - r1)
+    over c(m, r)."""
+    if m == 1:
+        yield (r,), Fraction(1)
+        return
+    a = m // 2
+    for r1 in range(r + 1):
+        weight = Fraction(rows[a][r1] * rows[m - a][r - r1], rows[m][r])
+        if weight:
+            for left, p_left in halving_walk(rows, a, r1):
+                for right, p_right in halving_walk(rows, m - a, r - r1):
+                    yield left + right, weight * p_left * p_right
+
+
+class Redrawn(Exception):
+    pass
+
+
+class Replay:
+    """An rng whose getrandbits answers from a list, then with 0, records
+    the width of every call, and raises Redrawn at call number calls + 1."""
+
+    def __init__(self, answers, calls):
+        self.answers, self.calls, self.widths = answers, calls, []
+
+    def getrandbits(self, width):
+        i = len(self.widths)
+        if i == self.calls:
+            raise Redrawn
+        self.widths.append(width)
+        return self.answers[i] if i < len(self.answers) else 0
+
+
+def every_halving_draw(sampler, n):
+    """Map every answer sequence that _HalvingWord.sample accepts, one per
+    halving, to the code it draws.
+
+    The answers are walked in order, like an odometer.  A draw is redrawn
+    when its answer is at or past its bound, which shows as an n-th call;
+    every larger answer is past the bound too, so the walk carries to the
+    answer before it.
+    """
+    answers, draws = [], {}
+    while True:
+        rng = Replay(answers, n - 1)
+        try:
+            code = sampler.sample(rng)
+            answers += [0] * (n - 1 - len(answers))
+            draws[tuple(answers)] = code
+        except Redrawn:
+            answers.pop()
+        while answers and answers[-1] + 1 == 1 << rng.widths[len(answers) - 1]:
+            answers.pop()
+        if not answers:
+            return draws
+        answers[-1] += 1
 
 
 class TestValidity:
@@ -376,7 +447,7 @@ class TestSampler:
 
     def test_decision_probabilities_are_exactly_uniform(self):
         # the sampler's chance of emitting any given tree is exactly 1/f_n;
-        # |S| <= 4 runs the cycle lemma, |S| = 5 the recursive method
+        # |S| <= 4 runs the cycle lemma, |S| = 5 the halving word
         for child_set, n_max in [
             (S012, 8),
             (S02, 7),
@@ -387,18 +458,14 @@ class TestSampler:
             (ChildSet((0, 1, 2, 3, 4)), 6),
             (ChildSet((0, 2, 3, 5, 7)), 8),
         ]:
-            cycle_lemma = len(child_set) <= 4
             for n in range(1, n_max + 1):
                 fn = count_trees(child_set, n)
                 if fn == 0:
                     continue
                 sampler = TreeSampler(child_set, n)
                 trees = list(enumerate_trees(child_set, n))
-                if cycle_lemma:
-                    # each tree is n of the weighted sequences
-                    assert sampler._method.total == n * len(trees), (child_set, n)
-                else:
-                    assert not hasattr(sampler._method, "total")
+                # each tree is n of the weighted words
+                assert sampler._method.total == n * len(trees), (child_set, n)
                 total = Fraction(0)
                 for code in trees:
                     prob = sampler.decision_probability(code)
@@ -407,16 +474,73 @@ class TestSampler:
                 assert total == 1
 
     def test_recursive_method_gives_a_deep_path_exactly_one_over_f_n(self):
-        child_set = ChildSet((0, 1, 2, 3, 4))  # |S| = 5: the recursive method
+        child_set = ChildSet((0, 1, 2, 3, 4))  # |S| = 5: the halving word
         n = 1100
         sampler = TreeSampler(child_set, n)
-        assert not hasattr(sampler._method, "total")
         fn = count_trees(child_set, n)
+        assert sampler._method.total == n * fn
         path = (1,) * (n - 1) + (0,)
         assert sampler.decision_probability(path) == Fraction(1, fn)
         rng = Random(4)
         for _ in range(3):
             assert sampler.decision_probability(sampler.sample(rng)) == Fraction(1, fn)
+
+    @pytest.mark.parametrize(
+        "elements, n",
+        [
+            ((0, 1, 2, 3, 5), 7),
+            ((0, 2, 3, 4, 9), 8),
+            ((0, 1, 4, 5, 6, 7), 8),
+            ((0, 1, 2, 3, 4), 6),
+            ((0, 2, 4, 6, 8), 9),  # odd first-half sums weigh 0
+        ],
+    )
+    def test_halving_word_draws_every_word_with_probability_one_over_total(
+        self, elements, n
+    ):
+        sampler = _HalvingWord(ChildSet(elements), n)
+        words = dict(halving_walk(sampler.rows, n, n - 1))
+        assert len(words) == sampler.total
+        for word, prob in words.items():
+            assert prob == Fraction(1, sampler.total), word
+            assert len(word) == n and sum(word) == n - 1, word
+            assert set(word) <= set(elements), word
+
+    @pytest.mark.parametrize(
+        "elements, n", [((0, 1, 2, 3, 4), 5), ((0, 2, 3, 5, 7), 6), ((0, 2, 4, 6, 8), 7)]
+    )
+    def test_halving_word_draw_loop_is_exactly_uniform(self, elements, n):
+        # every answer the draw loop accepts, each weighed by one over the
+        # number of answers accepted after the same prefix
+        child_set = ChildSet(elements)
+        sampler = _HalvingWord(child_set, n)
+        draws = every_halving_draw(sampler, n)
+        nodes = {seq[:i] for seq in draws for i in range(1, len(seq) + 1)}
+        choices = Counter(node[:-1] for node in nodes)
+        assert choices[()] == sampler.total
+        probs = Counter()
+        for seq, code in draws.items():
+            probs[code] += 1 / math.prod(Fraction(choices[seq[:i]]) for i in range(len(seq)))
+        fn = count_trees(child_set, n)
+        assert sorted(probs) == list(enumerate_trees(child_set, n))
+        assert set(probs.values()) == {Fraction(1, fn)}
+
+    @pytest.mark.parametrize(
+        "elements, n",
+        [
+            ((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 4), 2), ((0, 1, 2, 3, 4), 37),
+            ((0, 2, 3, 5, 7), 60), ((0, 2, 4, 6, 8), 61), ((0, 1, 2, 3, 4, 5), 200),
+            ((0, 1, 2, 3, 150), 160),  # an element below n
+        ],
+    )
+    def test_halving_word_rows_are_powers_of_phi(self, elements, n):
+        child_set = ChildSet(elements)
+        sampler = _HalvingWord(child_set, n)
+        for m, row in sampler.rows.items():
+            assert row == plain_power_row(child_set, m, n), (elements, n, m)
+        # a count of n or more is never used, so it changes no row
+        wider = _HalvingWord(ChildSet((*elements, n, n + 40)), n)
+        assert wider.rows == sampler.rows and wider.total == sampler.total
 
     def test_count_vectors_match_enumeration(self):
         extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
@@ -516,3 +640,15 @@ class TestMonteCarlo:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_moment(S012, 3, 0, 1, samples=0)
+
+
+def test_oracle_imports_only_childset_errors_and_values_from_the_package():
+    # the oracles stay independent of the engine: none of polyint, engine,
+    # moments or recurrence may reach them
+    source = Path(__file__).resolve().parents[1] / "src" / "treemoments" / "oracle.py"
+    nodes = list(ast.walk(ast.parse(source.read_text())))
+    relative = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    absolute |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    assert relative == {"childset", "errors", "values"}
+    assert not {name for name in absolute if name.split(".")[0] == "treemoments"}

@@ -4,8 +4,8 @@ Each digest is sha256 over, for every format and seed in turn, the line
 "<format> <seed> <exit code>" followed by the command's stdout.  The sweep
 covers the cycle lemma at |S| <= 2, where {0} has a tree only at n = 1 and
 {0,2} only at odd n, and both exit 2 elsewhere; at |S| = 3; at |S| = 4, where
-{0,2,4,6} has trees only at odd n and exits 2 at even n; and the recursive
-method (|S| >= 5), where {0,2,4,6,8} does the same.  The digests pin the
+{0,2,4,6} has trees only at odd n and exits 2 at even n; and the halving
+word (|S| >= 5), where {0,2,4,6,8} does the same.  The digests pin the
 exact sequence of rng draws, not only the distribution, so a change to how a
 choice is drawn shows here.
 """
@@ -124,49 +124,49 @@ DIGESTS = {
     ("0,1,2,3,4", 2):
         "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
     ("0,1,2,3,4", 5):
-        "255d96e76d440065e4220cb63f0046186c6d4a58bb411e2f2d37619de78beb84",
+        "f568ca420ac3807463cc232d3e08d92957684df66c286154d497468553d74287",
     ("0,1,2,3,4", 17):
-        "94c5f7e218e11e01bb1a82ea8741af4cd71baa4b461cb4d78d58029bcddaf884",
+        "9f783e8df7d00267a35a7323e87f589024b3703d9811d8f1114b70a647da61ab",
     ("0,1,2,3,4", 60):
-        "1e1dc34d73a41abba68c6304f2ee429446a2d63223c67efeeb8f37a3bb3b92c9",
+        "fe61e1220f344aa9c370a5adeea57474af3344a876d50db3b1d7afa7bc705072",
     ("0,1,2,3,4", 299):
-        "80543eb989d502e2635737bebd0812ae06f9d16ccec8d35dc10cefd4cd44f280",
+        "587a1f1c595969845b932ffa84262dcc5e68e1db5871cb4924885dcafc8805b4",
     ("0,2,3,5,7", 1):
         "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
     ("0,2,3,5,7", 2):
         "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
     ("0,2,3,5,7", 5):
-        "ffe226a37480c1c6f2f17b19e1f810b4b55cee6b8042ee2da56851b15ad1b9f4",
+        "08c88f6ea5e2b8d3c15a1d27587d348057bbf081e81a38ea3e82c299318ba807",
     ("0,2,3,5,7", 17):
-        "d34d81cfd3a8b62025d5a56d3d3b1004fc850fae40f2f5678a5d2b4650d66db0",
+        "e554f73487a856f7c49190cf99ec93b294ca897b39121f987cc93bb437e5ae63",
     ("0,2,3,5,7", 60):
-        "abf3596df149f63cf60d941b912f86d20792f80470900d976dcf092cbc47c8c3",
+        "60182b095e0d4d5fc171cb08388190a36be339d132588352dcfed943acce57c2",
     ("0,2,3,5,7", 299):
-        "549a333d50c552be5dded4fbbff1b6046eaf45afaa76c314328f6b1efd323a38",
+        "0782b91896437d4ea9fdd4d04e89231ba201cef34a10c5d6a984dd7255a5b26e",
     ("0,2,4,6,8", 1):
         "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
     ("0,2,4,6,8", 2):
         "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
     ("0,2,4,6,8", 5):
-        "5c676a6b279581ad7477f4aac506edb32c2e072323a92845916bf9f9e946cf93",
+        "55690de5a93ebb9318c642842970502c59cb6528223f5cf0c9e3e3ebf4aa583a",
     ("0,2,4,6,8", 17):
-        "cd52e86562a296c5873f5cd7f586a555b70a9974e13bfbc335f67913aafb09f3",
+        "205d392ef9db6fe8b18ff9793552dd59e9b52478919a0d40403f4221022f4118",
     ("0,2,4,6,8", 60):
         "31c03b40caa260aca08297bb9ed26f5d4bf87def05bd69f427e11e8d753363e6",
     ("0,2,4,6,8", 299):
-        "8ce698991173b235b3c9d8bf4fff923225e2503c22f289cddbdac8528df30eb5",
+        "dae29153f11b0a1ba211708ecc716c6ac0078d847617dcc1e5c31c7a6032cbf0",
     ("0,1,2,3,4,5", 1):
         "f6c4ecf44aaab1e93fba6330b8a04d65b5bd61fdd0f0e6370bd0bfa86e6b0aca",
     ("0,1,2,3,4,5", 2):
         "a2e56863f48ece71d02bf60534520ff6af8265ac9916378ad926e91ea505dac3",
     ("0,1,2,3,4,5", 5):
-        "255d96e76d440065e4220cb63f0046186c6d4a58bb411e2f2d37619de78beb84",
+        "f568ca420ac3807463cc232d3e08d92957684df66c286154d497468553d74287",
     ("0,1,2,3,4,5", 17):
-        "46615348d4fade6440289b352f998203d56a72345cb729000820954a1339fd57",
+        "895df804390f18dbd8b54858ddd368d55ea582d281bce836231bf0d69a9d272e",
     ("0,1,2,3,4,5", 60):
-        "ab091102cfddb88b83ad72cb210cadeb613b2c51abe1e974c71cb6dead2a871d",
+        "3f197654c0f31bf5c92ecbc3992ea900557187f73b2869be15c574debd58b502",
     ("0,1,2,3,4,5", 299):
-        "e9fb57b6ea6e8c054ae2cf0e1c0306e10d9c868e375478beb513ee26dcb632fb",
+        "b010197ffb02e272061e73e0d66b36b684c47097c9859f2748c42b1e62f4b120",
 }
 
 
