@@ -215,18 +215,6 @@ def joint_gf_fixpoint(
 CYCLE_LEMMA_MAX_SET = 4
 
 
-def _outer_counts(coords, budget: int):
-    """Every count tuple over coords with sum(coord * count) <= budget, with
-    the budget it leaves."""
-    if not coords:
-        yield (), budget
-        return
-    first, rest = coords[0], coords[1:]
-    for k in range(budget // first + 1):
-        for tail, left in _outer_counts(rest, budget - first * k):
-            yield (k, *tail), left
-
-
 def _next_row(
     k_zero: int, x: int, k_last: int, weight: int, step: int, drop: int
 ) -> tuple[int, int, int, int]:
@@ -263,8 +251,7 @@ def _lukasiewicz_rotation(seq: list[int]) -> TreeCode:
 
     For a sequence of n child counts summing to n-1 this is the one rotation
     that is a valid code (cycle lemma).  _HalvingWord.sample cuts its word
-    here, _CycleLemma.sample takes the same cut from _shuffle, and
-    TreeSampler.decision_probability counts the rotations it cuts to a code.
+    here, and _CycleLemma.sample takes the same cut from _shuffle.
     """
     walk = list(map(sub, accumulate(seq), range(1, len(seq) + 1)))
     cut = walk.index(min(walk)) + 1
@@ -352,8 +339,12 @@ class _CycleLemma:
             *outer_coords, inner, last = elements[1:]
             g = math.gcd(inner, last)
             self.step, self.drop = step, drop = last // g, inner // g
+            budgets = [((), n - 1)]  # each outer count with the budget it leaves
+            if outer_coords:  # |S| <= CYCLE_LEMMA_MAX_SET leaves one; a second raises
+                (coord,) = outer_coords
+                budgets = [((k,), n - 1 - coord * k) for k in range((n - 1) // coord + 1)]
             runs = []
-            for outer, budget in _outer_counts(outer_coords, n - 1):
+            for outer, budget in budgets:
                 # smallest x with inner * x = budget (mod last), if g divides budget
                 x = budget // g * pow(drop, -1, step) % step
                 if budget % g == 0 and inner * x <= budget:
@@ -430,32 +421,32 @@ class _HalvingWord:
     by _lukasiewicz_rotation is a tree of probability n/total = 1/f_n
     (cycle lemma).  Each draw takes the words rng.randrange(c(m, r)) would.
 
-    Only the sizes that halving n reaches have a row, about 2 * log2(n) of
-    them, each of the n coefficients of degree below n, built by the power
-    recurrence j * p_j = sum_k ((m + 1) * k - j) * p_(j-k) over the nonzero
-    k in S: big-by-small steps, each division exact.  A draw builds nothing.
+    Each size m that halving n reaches, about 2 * log2(n) of them, gets a
+    row of the n coefficients of degree below n, by the power recurrence
+    j * p_j = sum_k ((m + 1) * k - j) * p_(j-k) over the nonzero k in S
+    (big-by-small steps, exact divisions).  Of phi^n only the entry a draw
+    reads is kept: rows[n] = {n - 1: total}.  A draw builds nothing.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
         self.n = n
         steps = child_set.within(n).elements[1:]  # larger counts weigh 0
-        sizes: set[int] = set()
-        level = {n}
-        while level:
-            sizes |= level
-            level = {h for m in level if m > 1 for h in (m // 2, m - m // 2)}
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, list[int] | dict[int, int]] = {}
         rows = self.rows
-        for m in sizes:
-            row = rows[m] = [1] + [0] * (n - 1)
-            for j in range(1, min(n, m * steps[-1] + 1) if steps else 1):
-                acc = 0
-                for k in steps:
-                    if k > j:
-                        break
-                    acc += ((m + 1) * k - j) * row[j - k]
-                row[j] = acc // j
+        level = {n}
+        while level:  # the sizes that halving n reaches, each built once
+            for m in level:
+                row = rows[m] = [1] + [0] * (n - 1)
+                for j in range(1, min(n, m * steps[-1] + 1) if steps else 1):
+                    acc = 0
+                    for k in steps:
+                        if k > j:
+                            break
+                        acc += ((m + 1) * k - j) * row[j - k]
+                    row[j] = acc // j
+            level = {h for m in level if m > 1 for h in (m // 2, m - m // 2)} - rows.keys()
         self.total = rows[n][n - 1]  # n * f_n
+        rows[n] = {n - 1: self.total}  # the one entry of phi^n that a draw reads
         if not self.total:
             raise NoTrees(f"no trees on {n} vertices for child set {child_set}")
 
@@ -505,11 +496,11 @@ class TreeSampler:
     Devroye 2012), so each tree has probability n/total = 1/f_n.  For |S| <=
     CYCLE_LEMMA_MAX_SET the word is a child-count vector drawn with weight
     multinomial(n; k), then shuffled.  For larger S it is drawn by halving
-    its sum, from about 2 * log2(n) rows of powers of phi up to degree n - 1,
-    whatever max S is; S picks the method, so dropping counts of n or more
-    changes no draw.  All weights are exact integers: no tree is ever
-    rejected, neither path uses floating point, and both take the words
-    rng.randrange (and rng.shuffle) would.
+    its sum, from about 2 * log2(n) rows of phi^m, m < n, up to degree n - 1
+    and the entry total of phi^n, whatever max S is; S picks the method, so
+    dropping counts of n or more changes no draw.  All weights are exact
+    integers: no tree is ever rejected, neither path uses floating point,
+    and both take the words rng.randrange (and rng.shuffle) would.
     """
 
     def __init__(self, child_set: ChildSet, n: int) -> None:
@@ -517,25 +508,22 @@ class TreeSampler:
             raise ValueError("n must be >= 1")
         self.child_set = child_set
         self.n = n
-        if len(child_set) <= CYCLE_LEMMA_MAX_SET:
-            self._method = _CycleLemma(child_set, n)
-        else:
-            self._method = _HalvingWord(child_set, n)
+        method = _CycleLemma if len(child_set) <= CYCLE_LEMMA_MAX_SET else _HalvingWord
+        self._method = method(child_set, n)
 
     def sample(self, rng: Random) -> TreeCode:
         """One uniform tree; deterministic in the state of rng."""
         return self._method.sample(rng)
 
     def decision_probability(self, code) -> Fraction:
-        """Exact probability that sample() emits this code."""
+        """Exact probability that sample() emits this code: each word has
+        probability 1/total, and a valid code's n rotations are n distinct
+        words (their c - 1 sum to -1, which no period splits) that
+        _lukasiewicz_rotation cuts back to it, so n/total."""
         code = tuple(code)
         if len(code) != self.n or not is_valid_code(self.child_set, code):
             return Fraction(0)  # never drawn: wrong length, child count or walk
-        # both methods draw each word with probability 1/total; count the
-        # distinct words that the rotation rule turns into this code
-        rotations = {code[i:] + code[:i] for i in range(len(code))}
-        hits = sum(_lukasiewicz_rotation(list(r)) == code for r in rotations)
-        return Fraction(hits, self._method.total)
+        return Fraction(self.n, self._method.total)
 
 
 def sample_tree_uniform(child_set: ChildSet, n: int, rng_seed: int) -> TreeCode:

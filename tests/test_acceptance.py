@@ -275,7 +275,7 @@ def _peak_rss_mb(argv):
     return report["max_rss_kib"] / 1024, report["code"]
 
 
-def test_recursive_sampler_memory_does_not_grow_with_draws():
+def test_halving_word_memory_does_not_grow_with_draws():
     peak, code = _peak_rss_mb("sample -S 0,1,2,3,4 -n 1000 --count 20".split())
     assert code == 0
     assert peak < 40.0

@@ -1,5 +1,6 @@
 import ast
 import math
+import signal
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,6 @@ from treemoments.oracle import (
     _CycleLemma,
     _HalvingWord,
     _lukasiewicz_rotation,
-    _outer_counts,
     _shuffle,
     format_code,
     parse_code,
@@ -89,7 +89,11 @@ def per_row_table(child_set, n):
     lose = step - drop
     vectors, cums = [], []
     acc = 0
-    for outer, budget in _outer_counts(outer_coords, n - 1):
+    ranges = (range((n - 1) // coord + 1) for coord in outer_coords)
+    for outer in product(*ranges):  # every outer count tuple, ascending
+        budget = n - 1 - sum(coord * k for coord, k in zip(outer_coords, outer))
+        if budget < 0:
+            continue
         x = next((x for x in range(step) if (budget - inner * x) % last == 0), None)
         if x is None or inner * x > budget:
             continue
@@ -138,6 +142,17 @@ def halving_walk(rows, m, r):
 
 class Redrawn(Exception):
     pass
+
+
+class DrawLoopHung(Exception):
+    pass
+
+
+DRAW_LOOP_LIMIT_S = 10
+
+
+def _expire(signum, frame):
+    raise DrawLoopHung(f"a draw loop ran past {DRAW_LOOP_LIMIT_S} s")
 
 
 class Replay:
@@ -473,7 +488,28 @@ class TestSampler:
                     total += prob
                 assert total == 1
 
-    def test_recursive_method_gives_a_deep_path_exactly_one_over_f_n(self):
+    def test_every_rotation_of_a_tree_is_a_distinct_word_cut_back_to_it(self):
+        # why decision_probability is n/total: the trees of
+        # test_decision_probabilities_are_exactly_uniform are each the cut of
+        # n distinct words
+        for child_set, n_max in [
+            (S012, 8),
+            (S02, 7),
+            (ChildSet((0, 1, 3)), 7),
+            (ChildSet((0, 2, 3)), 7),
+            (ChildSet((0, 1, 2, 3)), 6),
+            (ChildSet((0, 2, 3, 5)), 8),
+            (ChildSet((0, 1, 2, 3, 4)), 6),
+            (ChildSet((0, 2, 3, 5, 7)), 8),
+        ]:
+            for n in range(1, n_max + 1):
+                for code in enumerate_trees(child_set, n):
+                    rotations = [code[i:] + code[:i] for i in range(n)]
+                    assert len(set(rotations)) == n, (child_set, code)
+                    for word in rotations:
+                        assert _lukasiewicz_rotation(list(word)) == code, (child_set, word)
+
+    def test_halving_word_gives_a_deep_path_exactly_one_over_f_n(self):
         child_set = ChildSet((0, 1, 2, 3, 4))  # |S| = 5: the halving word
         n = 1100
         sampler = TreeSampler(child_set, n)
@@ -514,7 +550,15 @@ class TestSampler:
         # number of answers accepted after the same prefix
         child_set = ChildSet(elements)
         sampler = _HalvingWord(child_set, n)
-        draws = every_halving_draw(sampler, n)
+        # a loop that skips a candidate, or accepts a draw at its bound,
+        # never ends: fail it instead
+        previous = signal.signal(signal.SIGALRM, _expire)
+        signal.setitimer(signal.ITIMER_REAL, DRAW_LOOP_LIMIT_S)
+        try:
+            draws = every_halving_draw(sampler, n)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         nodes = {seq[:i] for seq in draws for i in range(1, len(seq) + 1)}
         choices = Counter(node[:-1] for node in nodes)
         assert choices[()] == sampler.total
@@ -537,13 +581,17 @@ class TestSampler:
         child_set = ChildSet(elements)
         sampler = _HalvingWord(child_set, n)
         for m, row in sampler.rows.items():
-            assert row == plain_power_row(child_set, m, n), (elements, n, m)
+            if m < n:
+                assert row == plain_power_row(child_set, m, n), (elements, n, m)
+        # of phi^n only the entry a draw reads is kept
+        assert sampler.rows[n] == {n - 1: sampler.total}
+        assert sampler.total == plain_power_row(child_set, n, n)[n - 1]
         # a count of n or more is never used, so it changes no row
         wider = _HalvingWord(ChildSet((*elements, n, n + 40)), n)
         assert wider.rows == sampler.rows and wider.total == sampler.total
 
     def test_count_vectors_match_enumeration(self):
-        extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5)), ChildSet((0, 1, 2, 3, 4))]
+        extra = [ChildSet((0,)), ChildSet((0, 3)), ChildSet((0, 1, 5))]
         for child_set in FAMILY + extra:
             for n in range(1, 10):
                 dist = child_count_distribution(child_set, n, cap=n)
@@ -561,6 +609,13 @@ class TestSampler:
                 assert r == sampler.total
                 assert sorted(vectors) == sorted(dist), (child_set, n)
                 assert len(set(vectors)) == len(vectors)
+
+    def test_cycle_lemma_refuses_a_second_outer_count(self):
+        # |S| <= CYCLE_LEMMA_MAX_SET = 4 leaves at most one count outside a
+        # run; |S| = 5 leaves two, and the table raises rather than drop one
+        for n in (1, 5, 9):
+            with pytest.raises(ValueError):
+                _CycleLemma(ChildSet((0, 1, 2, 3, 4)), n)
 
     @pytest.mark.parametrize("elements", [(0, 1, 2), (0, 2, 3), (0, 1, 5), *CYCLE_LEMMA_4])
     def test_picks_match_per_row_reference(self, elements):
