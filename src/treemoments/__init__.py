@@ -26,7 +26,6 @@ from .errors import (
     InsufficientData,
     InvalidCorrelation,
     LeadingCoefficientZero,
-    NonUnitConstantTerm,
     NoTrees,
 )
 from .gaussref import (
@@ -88,7 +87,6 @@ __all__ = [
     "NoTrees",
     "DegenerateVariance",
     "EnumerationTooLarge",
-    "NonUnitConstantTerm",
     "InvalidCorrelation",
     "InsufficientData",
     "LeadingCoefficientZero",

@@ -68,12 +68,5 @@ class ChildSet(Value):
         """Position of ``value`` in the sorted element tuple."""
         return self.elements.index(value)
 
-    def offspring_polynomial(self) -> list[int]:
-        """Coefficients of sum(z**s for s in S), dense by degree."""
-        coeffs = [0] * (self.max_count + 1)
-        for s in self.elements:
-            coeffs[s] = 1
-        return coeffs
-
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}"

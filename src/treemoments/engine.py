@@ -187,7 +187,7 @@ def _powers(
             if lo < hi:
                 width = max(width, 2 * reach - 1)
             low = max(0, n - 1 - width)
-            power = poly_pow_coeffs(phi_set.offspring_polynomial(), n - k_hi, n - 1, min_deg=low)
+            power = poly_pow_coeffs(elements[1:], n - k_hi, n - 1, min_deg=low)
         else:
             m, j = n - k, n - 1
             power, start = _times_phi(power, low, phi_set)

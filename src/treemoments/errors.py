@@ -32,10 +32,6 @@ class EnumerationTooLarge(DomainError):
     """Exhaustive enumeration was requested above the configured cap."""
 
 
-class NonUnitConstantTerm(DomainError):
-    """The coefficient recurrence for powers requires constant term 1."""
-
-
 class InvalidCorrelation(DomainError):
     """A squared correlation outside [0, 1] was supplied."""
 

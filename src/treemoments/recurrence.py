@@ -373,8 +373,6 @@ def guess_recurrence(
         for degree in range(max_degree + 1):
             width = degree + 1
             cols = (order + 1) * width
-            if fit_len - order < cols:
-                continue
             # built lazily: a full-rank system ends the scan after about cols rows
             rows = (
                 [

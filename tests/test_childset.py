@@ -48,11 +48,6 @@ class TestAccessors:
         assert s.max_count == 3
         assert s.index(3) == 2
 
-    def test_offspring_polynomial_dense_coefficients(self):
-        assert ChildSet((0, 1, 2)).offspring_polynomial() == [1, 1, 1]
-        assert ChildSet((0, 2)).offspring_polynomial() == [1, 0, 1]
-        assert ChildSet((0,)).offspring_polynomial() == [1]
-
     def test_within_keeps_the_elements_below_n(self):
         s = ChildSet((0, 1, 5, 10**12))
         assert s.within(10**12 + 1) is s

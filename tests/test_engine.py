@@ -139,9 +139,14 @@ class TestIdentities:
         assert table.value(5, 1) == numerator_mixed(S012, 5, 0, 1)
 
 
+def dense_phi(child_set):
+    """sum(z**s for s in S), dense by degree: _pow_binary's input."""
+    return [int(d in child_set.elements) for d in range(child_set.max_count + 1)]
+
+
 def per_k_binary_grid(child_set, n, s1, s2, max_p1, max_p2):
     """The grid from one binary-exponentiation power phi^(n-k) per k."""
-    phi = child_set.offspring_polynomial()
+    phi = dense_phi(child_set)
     t2 = 0 if s2 is None else s2
     powers = [
         _pow_binary(phi, n - k, n - 1)
@@ -255,7 +260,7 @@ class TestCountRange:
         reach = child_set.max_count
         for n, (phi_set, power, low) in enumerate(engine_module._powers(child_set, 3, 60, k, shift), 3):
             k_hi = min(k, n)
-            full = _pow_binary(phi_set.offspring_polynomial(), n - k_hi, n - 1)
+            full = _pow_binary(dense_phi(phi_set), n - k_hi, n - 1)
             assert power == full[low:], n
             # the window is sized by S and the grid's reads, not by n
             assert len(power) <= 1 + max(shift + k_hi * reach, 2 * reach - 1), n
@@ -301,9 +306,9 @@ def counts_to_2001():
 def test_benchmark_count_jobs_print_the_per_n_bytes(capsys, monkeypatch, counts_to_2001, lo, hi):
     starts = []
 
-    def spy(phi, m, max_deg, min_deg=0):
+    def spy(steps, m, max_deg, min_deg=0):
         starts.append(max_deg + 1)
-        return poly_pow_coeffs(phi, m, max_deg, min_deg)
+        return poly_pow_coeffs(steps, m, max_deg, min_deg)
 
     monkeypatch.setattr(engine_module, "poly_pow_coeffs", spy)
     values = counts_to_2001[lo - 1 : hi]

@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+import treemoments.engine as engine_module
 from treemoments import (
     ChildSet,
     TreeSampler,
@@ -20,6 +21,7 @@ from treemoments import (
     numerator_grid,
     numerator_sequence,
 )
+from treemoments.cli import main
 
 HUGE = [10**12, 10**12 + 1]  # an even and an odd one: gcd(inner, last) is 2 or 1
 SETS = [(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)]
@@ -94,3 +96,27 @@ def test_fixpoint_ignores_a_huge_child_count(elements):
     for n, dist in big.items():
         assert list(dist.items()) == [((*k, 0), c) for k, c in small[n].items()]
         assert dist == child_count_distribution(big_set, n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "-S", "0,1,2,150", "-n", "1..200"],
+        ["numerator", "-S", "0,1,2,150", "-n", "140..160", "--s1", "0", "--p", "2"],
+    ],
+)
+def test_the_power_kernel_only_sees_counts_below_n(monkeypatch, capsys, argv):
+    # a power of phi up to degree n - 1 takes the steps of within(n)
+    calls, kernel = [], engine_module.poly_pow_coeffs
+
+    def spy(steps, m, max_deg, min_deg=0):
+        calls.append((list(steps), max_deg))
+        return kernel(steps, m, max_deg, min_deg)
+
+    monkeypatch.setattr(engine_module, "poly_pow_coeffs", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for steps, max_deg in calls:
+        assert max(steps, default=0) <= max_deg
+        assert (150 in steps) == (max_deg >= 150), (steps, max_deg)
+    assert any(150 in steps for steps, _ in calls)  # the range starts afresh at n = 151

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treemoments import polyint
-from treemoments.errors import NonUnitConstantTerm
 from treemoments.polyint import (
     _pow_binary,
     exact_div,
@@ -19,26 +18,26 @@ from treemoments.polyint import (
 )
 
 
-def naive_pow(phi, m, max_deg):
-    out = [1]
-    for _ in range(m):
-        out = poly_mul_trunc(out, phi, max_deg)
-    return out
+def dense(steps):
+    """phi = 1 + sum(z**k for k in steps), dense by degree: the reference's input."""
+    phi = [1] + [0] * max(steps, default=0)
+    for k in steps:
+        phi[k] = 1
+    return phi
 
 
-def reference_recurrence(phi, m, max_deg, min_deg):
+def reference_recurrence(steps, m, max_deg, min_deg):
     """c_min_deg..c_max_deg of phi**m, one exact division per coefficient.
 
     The power kernel's per-step loop as it ran before whole blocks of steps
     below min_deg shared one division: the reference for the blocked path.
     """
-    support = [(k, phi[k], phi[k] * (m + 1) * k) for k in range(1, len(phi)) if phi[k]]
-    if not support:
+    if not steps:
         return ([1] + [0] * max_deg)[min_deg:]
-    reach = support[-1][0]
+    reach = steps[-1]
     coeffs = [0] * reach + [1]
     for j in range(1, max_deg + 1):
-        coeffs.append(exact_div(sum((bk_m1k - bk * j) * coeffs[-k] for k, bk, bk_m1k in support), j))
+        coeffs.append(exact_div(sum(((m + 1) * k - j) * coeffs[-k] for k in steps), j))
         if j <= min_deg:
             del coeffs[0]
     return coeffs[reach:]
@@ -73,21 +72,19 @@ class TestBasics:
 
 class TestPowerCoefficients:
     def test_known_small_powers(self):
-        assert poly_pow_coeffs([1, 1, 1], 2, 4) == [1, 2, 3, 2, 1]
-        assert poly_pow_coeffs([1, 0, 1], 3, 6) == [1, 0, 3, 0, 3, 0, 1]
-        assert poly_pow_coeffs([1, 1], 5, 3) == [1, 5, 10, 10]
+        assert poly_pow_coeffs([1, 2], 2, 4) == [1, 2, 3, 2, 1]
+        assert poly_pow_coeffs([2], 3, 6) == [1, 0, 3, 0, 3, 0, 1]
+        assert poly_pow_coeffs([1], 5, 3) == [1, 5, 10, 10]
 
     def test_power_zero_and_identity(self):
-        assert poly_pow_coeffs([1, 1, 1], 0, 3) == [1, 0, 0, 0]
-        assert poly_pow_coeffs([1, 0, 0, 1], 1, 3) == [1, 0, 0, 1]
+        assert poly_pow_coeffs([1, 2], 0, 3) == [1, 0, 0, 0]
+        assert poly_pow_coeffs([3], 1, 3) == [1, 0, 0, 1]
+        assert poly_pow_coeffs([], 4, 3, min_deg=1) == [0, 0, 0]  # phi = 1, S = {0}
 
     def test_strategies_agree_on_offspring_like_polynomials(self):
-        for support in [(0, 1, 2), (0, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]:
-            phi = [0] * (max(support) + 1)
-            for s in support:
-                phi[s] = 1
+        for steps in [[1, 2], [2], [1, 3], [2, 3], [1, 2, 3]]:
             for m in (1, 2, 7, 20):
-                assert _pow_binary(phi, m, 25) == poly_pow_coeffs(phi, m, 25)
+                assert _pow_binary(dense(steps), m, 25) == poly_pow_coeffs(steps, m, 25)
 
     @given(
         support=st.sets(st.integers(min_value=1, max_value=6), min_size=0, max_size=4),
@@ -96,10 +93,8 @@ class TestPowerCoefficients:
     )
     @settings(max_examples=60, deadline=None)
     def test_strategies_agree_property(self, support, m, max_deg):
-        phi = [1] + [0] * max(support, default=0)
-        for s in support:
-            phi[s] = 1
-        assert _pow_binary(phi, m, max_deg) == poly_pow_coeffs(phi, m, max_deg)
+        steps = sorted(support)
+        assert _pow_binary(dense(steps), m, max_deg) == poly_pow_coeffs(steps, m, max_deg)
 
     @given(
         support=st.sets(st.integers(min_value=1, max_value=6), min_size=0, max_size=4),
@@ -109,13 +104,10 @@ class TestPowerCoefficients:
     )
     @settings(max_examples=60, deadline=None)
     def test_min_deg_returns_the_tail(self, support, m, max_deg, lo):
-        phi = [1] + [0] * max(support, default=0)
-        for s in support:
-            phi[s] = 1
-        lo = min(lo, max_deg)
-        full = _pow_binary(phi, m, max_deg)
-        assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
-        assert poly_pow_coeffs(phi, m, max_deg) == full
+        steps, lo = sorted(support), min(lo, max_deg)
+        full = _pow_binary(dense(steps), m, max_deg)
+        assert poly_pow_coeffs(steps, m, max_deg, min_deg=lo) == full[lo:]
+        assert poly_pow_coeffs(steps, m, max_deg) == full
 
     # numerator_grid asks for phi^(n-k_hi) up to degree n - 1: m >= max_deg
     # keeps every coefficient up to max_deg that phi's support allows nonzero
@@ -131,21 +123,16 @@ class TestPowerCoefficients:
     @example(support={1, 2, 6}, max_deg=1300, extra=0, lo=1300)  # min_deg = max_deg
     @settings(max_examples=20, deadline=None)
     def test_engine_shaped_powers(self, support, max_deg, extra, lo):
-        phi = [1] + [0] * max(support)
-        for s in support:
-            phi[s] = 1
         m, lo = max_deg + extra, min(lo, max_deg)
         full = shifted_sum_pow(support, m, max_deg)
-        assert poly_pow_coeffs(phi, m, max_deg, min_deg=lo) == full[lo:]
+        assert poly_pow_coeffs(sorted(support), m, max_deg, min_deg=lo) == full[lo:]
 
     # leaves of 1..4 steps, 1..4 to a block, reach the blocked path at small
     # degrees, every reach 1..6 included, leaping from the first block or once
     # the coefficients reach a few bits; min_deg sits on a block boundary or
     # one step either side of it
     @given(
-        support=st.dictionaries(
-            st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3), min_size=1, max_size=4
-        ),
+        support=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
         m=st.integers(min_value=0, max_value=60),
         leaf=st.integers(min_value=1, max_value=4),
         leaves=st.integers(min_value=1, max_value=4),
@@ -154,54 +141,50 @@ class TestPowerCoefficients:
         extra=st.integers(min_value=0, max_value=10),
         leap_bits=st.sampled_from((0, 40, 400)),
     )
-    @example(support={1: 1, 5: 1}, m=40, leaf=2, leaves=2, blocks=8, offset=0, extra=3, leap_bits=0)
-    @example(support={3: 2}, m=2, leaf=1, leaves=3, blocks=6, offset=1, extra=0, leap_bits=0)  # m < reach
-    @example(support={1: 3, 6: 2}, m=60, leaf=4, leaves=2, blocks=7, offset=-1, extra=10, leap_bits=40)
+    @example(support={1, 5}, m=40, leaf=2, leaves=2, blocks=8, offset=0, extra=3, leap_bits=0)
+    @example(support={3}, m=2, leaf=1, leaves=3, blocks=6, offset=1, extra=0, leap_bits=0)  # m < reach
+    @example(support={1, 6}, m=60, leaf=4, leaves=2, blocks=7, offset=-1, extra=10, leap_bits=40)
     @settings(max_examples=150, deadline=None)
     def test_blocked_steps_match_the_per_step_loop(self, support, m, leaf, leaves, blocks, offset, extra, leap_bits):
-        phi = [1] + [support.get(k, 0) for k in range(1, max(support) + 1)]
+        steps = sorted(support)
         block = leaf * leaves
         min_deg = blocks * block + offset
         max_deg = min_deg + extra
         leaps = dict.fromkeys(range(1, 7), leap_bits)
         with mock.patch.multiple(polyint, _BLOCK=block, _LEAF=leaf, _LEAP_BITS=leaps):
-            got = poly_pow_coeffs(phi, m, max_deg, min_deg)
-        assert got == _pow_binary(phi, m, max_deg)[min_deg:]
-        assert got == reference_recurrence(phi, m, max_deg, min_deg)
+            got = poly_pow_coeffs(steps, m, max_deg, min_deg)
+        assert got == _pow_binary(dense(steps), m, max_deg)[min_deg:]
+        assert got == reference_recurrence(steps, m, max_deg, min_deg)
 
-    @pytest.mark.parametrize("phi", [[1, 1], [1, 2, 3], [1, 0, 1], [1, 1, 0, 2], [1, 0, 0, 1]])
+    @pytest.mark.parametrize("steps", [[1], [1, 2], [2], [1, 3], [3]])
     @pytest.mark.parametrize("min_deg", [1023, 1024, 1025, 2049])
-    def test_blocks_at_full_size(self, phi, min_deg):
+    def test_blocks_at_full_size(self, steps, min_deg):
         m = 1500
         with mock.patch.object(polyint, "_LEAP_BITS", dict.fromkeys(range(1, 4), 0)):
-            got = poly_pow_coeffs(phi, m, min_deg + 5, min_deg)
-        assert got == reference_recurrence(phi, m, min_deg + 5, min_deg)
+            got = poly_pow_coeffs(steps, m, min_deg + 5, min_deg)
+        assert got == reference_recurrence(steps, m, min_deg + 5, min_deg)
 
     @pytest.mark.parametrize(
-        "phi, min_deg", [([1, 1, 1], 1023), ([1, 1, 1, 1, 1], 1500), ([1, 1, 0, 0, 0, 1], 2100), ([1, 0, 1, 1], 2100)]
+        "steps, min_deg", [([1, 2], 1023), ([1, 2, 3, 4], 1500), ([1, 5], 2100), ([2, 3], 2100)]
     )
-    def test_per_step_loop_below_a_block_beyond_the_reach_or_on_small_coefficients(self, phi, min_deg):
+    def test_per_step_loop_below_a_block_beyond_the_reach_or_on_small_coefficients(self, steps, min_deg):
         # min_deg below one block, deg(phi) past 3, or coefficients too short
         # to pay for a leap ({0,2,3} at degree 2100 of phi^900: 1.2 k bits)
         with mock.patch.object(polyint, "_leap", side_effect=AssertionError("leapt")):
-            got = poly_pow_coeffs(phi, 900, min_deg + 2, min_deg)
-        assert got == reference_recurrence(phi, 900, min_deg + 2, min_deg)
+            got = poly_pow_coeffs(steps, 900, min_deg + 2, min_deg)
+        assert got == reference_recurrence(steps, 900, min_deg + 2, min_deg)
 
     def test_min_deg_outside_the_range_is_rejected(self):
         with pytest.raises(ValueError):
-            poly_pow_coeffs([1, 1], 2, 3, min_deg=-1)
+            poly_pow_coeffs([1], 2, 3, min_deg=-1)
         with pytest.raises(ValueError):
-            poly_pow_coeffs([1, 1], 2, 3, min_deg=4)
-
-    def test_recurrence_needs_unit_constant_term(self):
-        with pytest.raises(NonUnitConstantTerm):
-            poly_pow_coeffs([2, 1], 3, 5)
+            poly_pow_coeffs([1], 2, 3, min_deg=4)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            poly_pow_coeffs([1, 1], -1, 3)
+            poly_pow_coeffs([1], -1, 3)
         with pytest.raises(ValueError):
-            poly_pow_coeffs([1, 1], 2, -1)
+            poly_pow_coeffs([1], 2, -1)
 
 
 def brute_stirling2(p, k):

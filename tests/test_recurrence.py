@@ -341,8 +341,11 @@ class TestModularPruning:
             assert vec[free] > 0
             assert vec == [vec[free] * r for r in ref]
 
-    def test_failed_search_makes_no_exact_solve(self, monkeypatch):
-        seq = numerator_sequence(ChildSet((0, 1, 5)), 0, 5, 2, 2, 90).sequence(2, 2)
+    # 49 terms are exactly what a 5 x 5 search with margin 8 needs: the
+    # order 5, degree 5 system then has as many rows as columns
+    @pytest.mark.parametrize("terms", [90, 49])
+    def test_failed_search_makes_no_exact_solve(self, monkeypatch, terms):
+        seq = numerator_sequence(ChildSet((0, 1, 5)), 0, 5, 2, 2, terms).sequence(2, 2)
         scans = []
         echelon = recurrence._echelon
 
