@@ -10,14 +10,12 @@ internal bug and ends in a traceback.
 Output is deterministic: identical arguments (including --seed) produce
 byte-identical bytes.  Every number printed is an exact integer, an exact
 fraction `p/q`, or a decimal string at the requested --digits; no binary
-floating point is involved anywhere.  The optional environment variable
-TREEMOMENTS_ENUM_CAP overrides the default enumeration cap.
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Iterable
 from itertools import chain, islice
@@ -32,8 +30,6 @@ from .gaussref import normality_gap_report
 from .moments import DEFAULT_DIGITS, MomentSpec, moment_report, scaled_bounds, scaled_moment
 from .oracle import DEFAULT_ENUMERATION_CAP, TreeSampler, enumerate_trees, format_code
 from .recurrence import guess_recurrence
-
-ENUM_CAP_ENV = "TREEMOMENTS_ENUM_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +121,7 @@ class RowWriter:
 
     def write(self, row: dict) -> None:
         if self.fmt == "json":
-            self.out.write(self.dumps(row, default=str) + "\n")
+            self.out.write(self.dumps(row) + "\n")
             return
         if self.fmt == "csv":
             if not self.started:
@@ -233,8 +229,7 @@ def _cmd_scaled(args: argparse.Namespace, out: TextIOBase) -> None:
 
 
 def _cmd_normal_compare(args: argparse.Namespace, out: TextIOBase) -> None:
-    spec = args.query
-    report = normality_gap_report(spec, spec.max_p1, spec.max_p2, args.digits)
+    report = normality_gap_report(args.query, args.digits)
     writer = RowWriter(args.format, ["p1", "p2", "alpha", "normal", "gap"], out, True)
     for row in report.rows:
         writer.write(
@@ -441,7 +436,10 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("enumerate", help="list all trees as child-count codes")
     common(sp)
     sp.add_argument(
-        "--cap", type=_at_least(1), default=None, help="enumeration cap override"
+        "--cap",
+        type=_at_least(1),
+        default=DEFAULT_ENUMERATION_CAP,
+        help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})",
     )
 
     sp = sub.add_parser("sample", help="uniform random trees")
@@ -457,14 +455,6 @@ def _check(parser: _Parser, args: argparse.Namespace) -> None:
     lo, hi = getattr(args, "n", (1, 1))
     if args.command in _SINGLE_N and lo != hi:
         parser.error(f"{args.command} takes a single n, not a range")
-    if args.command == "enumerate" and args.cap is None:
-        text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUMERATION_CAP))
-        try:
-            args.cap = _at_least(1)(text)
-        except ValueError:
-            parser.error(f"{ENUM_CAP_ENV}={text!r} is not an integer")
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"{ENUM_CAP_ENV}={text!r}: {exc}")
     if getattr(args, "stat", None) == "count":
         for option in ("s1", "s2", "p"):
             if getattr(args, option) is not None:

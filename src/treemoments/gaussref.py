@@ -166,22 +166,14 @@ class GapReport(Value):
         self._set(spec, digits, rho, rows)  # rho: the empirical correlation alpha_{1,1}
 
 
-def normality_gap_report(
-    spec: MomentSpec,
-    max_p1: int | None = None,
-    max_p2: int | None = None,
-    digits: int = DEFAULT_DIGITS,
-) -> GapReport:
+def normality_gap_report(spec: MomentSpec, digits: int = DEFAULT_DIGITS) -> GapReport:
     """Compare scaled mixed moments with the normal reference at rho = alpha_{1,1}.
 
-    The reference shares the exact radicand rho^2 with the scaled moments,
-    so structurally forced rows like (1,1) and (2,0) cancel to exactly zero.
-    The spec must carry two statistics.
+    One row per cell up to the spec's bounds.  The reference shares the exact
+    radicand rho^2 with the scaled moments, so structurally forced rows like
+    (1,1) and (2,0) cancel to exactly zero.  The spec must carry two statistics.
     """
-    if max_p1 is None:
-        max_p1 = spec.max_p1
-    if max_p2 is None:
-        max_p2 = spec.max_p2
+    max_p1, max_p2 = spec.max_p1, spec.max_p2
     grid = _grid(spec, max(max_p1, 2), max(max_p2, 2))
     var1 = _central_from_grid(grid, 2, 0)
     var2 = _central_from_grid(grid, 0, 2)

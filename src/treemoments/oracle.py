@@ -139,7 +139,7 @@ def child_count_distribution(
     """Joint distribution of child-count vectors over all trees on n vertices."""
     if n > cap:
         raise EnumerationTooLarge(f"n={n} exceeds enumeration cap {cap}")
-    return _count_distribution(child_set, n)
+    return dict(_count_distribution(child_set, n))  # a copy: edits spare the cache
 
 
 def oracle_numerator(

@@ -353,11 +353,13 @@ def test_scaled_moment_weights_live_for_one_grid():
 
 
 def test_code_blocks_stay_small_at_large_n():
-    # 15.95 MB at per-code writes; blocks of 256 codes took 18.93 MB here,
-    # where blocks of about 4096 counts hold two codes
+    # about 1 MB over the floor at blocks of about 4096 counts, which hold two
+    # codes here; blocks of 256 codes took about 2.9 MB over it
+    floor, code = _peak_rss_mb("sample -S 0,1,2 -n 1".split())
+    assert code == 0
     peak, code = _peak_rss_mb("sample -S 0,1,2 -n 2000 --count 100".split())
     assert code == 0
-    assert peak < 17.0
+    assert peak < floor + 1.5
 
 
 def test_numerator_range_holds_one_power():

@@ -166,25 +166,27 @@ class TestEvaluation:
 class TestGapReport:
     def test_structurally_zero_rows(self):
         spec = MomentSpec(S0123, 10, 0, 1)
-        report = normality_gap_report(spec, 2, 2, digits=10)
+        report = normality_gap_report(spec, digits=10)
         gaps = {(r.p1, r.p2): r.gap for r in report.rows}
         for cell in [(0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)]:
             assert gaps[cell].is_zero(), cell
 
-    def test_rho_matches_scaled_moment(self):
-        spec = MomentSpec(S0123, 10, 0, 1)
-        report = normality_gap_report(spec, 2, 2)
+    def test_rho_matches_scaled_moment_and_rows_follow_the_spec_bounds(self):
+        spec = MomentSpec(S0123, 10, 0, 1, 3, 1)
+        report = normality_gap_report(spec)
         from treemoments import correlation
 
         assert report.rho.square == correlation(spec).square
+        cells = [(p1, p2) for p1 in range(4) for p2 in range(2)]
+        assert [(r.p1, r.p2) for r in report.rows] == cells
 
     def test_degenerate_variance_raises(self):
         with pytest.raises(DegenerateVariance, match=r"X_0 .*n=2"):
-            normality_gap_report(MomentSpec(ChildSet((0, 1, 2)), 2, 0, 1), 2, 2)
+            normality_gap_report(MomentSpec(ChildSet((0, 1, 2)), 2, 0, 1))
 
     def test_odd_cells_hold_one_root_and_round_exactly(self):
-        spec = MomentSpec(S0123, 40, 1, 3)
-        report = normality_gap_report(spec, 4, 4, digits=30)
+        spec = MomentSpec(S0123, 40, 1, 3, 4, 4)
+        report = normality_gap_report(spec, digits=30)
         rows = {(r.p1, r.p2): r for r in report.rows}
         for cell in [(1, 3), (3, 1), (3, 3)]:
             row = rows[cell]
@@ -196,8 +198,8 @@ class TestGapReport:
 
     def test_repeated_statistic_gaps_are_one_statistic_gaps(self):
         # rho = 1, so M(p1, p2) = E[Z^k] = (k-1)!! for k = p1 + p2 even, else 0
-        spec = MomentSpec(S0123, 16, 1, 1)
-        report = normality_gap_report(spec, 4, 4, digits=25)
+        spec = MomentSpec(S0123, 16, 1, 1, 4, 4)
+        report = normality_gap_report(spec, digits=25)
         assert report.rho.exact == 1
         for row in report.rows:
             k = row.p1 + row.p2
@@ -210,7 +212,7 @@ class TestGapReport:
 
     def test_requires_pair(self):
         with pytest.raises(ValueError):
-            normality_gap_report(MomentSpec(S0123, 10, 0), 2, 2)
+            normality_gap_report(MomentSpec(S0123, 10, 0))
 
 
 def bracket_round(rational, roots, places, guard=200):

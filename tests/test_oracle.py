@@ -299,6 +299,12 @@ class TestOracleNumerator:
             assert sum(counts) == 6
             assert sum(s * c for s, c in zip(S012.elements, counts)) == 5
 
+    def test_editing_a_returned_distribution_changes_no_later_answer(self):
+        expected = dict(child_count_distribution(S012, 5))
+        child_count_distribution(S012, 5).clear()
+        assert oracle_numerator(S012, 5, 0, 1) == 19
+        assert child_count_distribution(S012, 5) == expected
+
 
 @pytest.mark.parametrize("estimate", [oracle_numerator, monte_carlo_moment])
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ def alpha() -> ScaledMoment:
 
 
 def gap_report() -> GapReport:
-    return normality_gap_report(spec(), 2, 2, digits=8)
+    return normality_gap_report(spec(), digits=8)
 
 
 # name: (build, fields compared and printed, hashable)
