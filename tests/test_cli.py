@@ -427,6 +427,20 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_a_bad_cap_in_the_environment_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEMOMENTS_ENUM_CAP", "abc")
+        code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
+
+    def test_cap_flag_sets_the_cap(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4", "--cap", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EnumerationTooLarge:")
+        code, out, _ = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4", "--cap", "4")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cap_below_one_is_a_usage_error(self, capsys, value):
         code, out, err = run(capsys, "enumerate", "-S", "0,1,2", "-n", "4", "--cap", value)
